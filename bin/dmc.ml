@@ -25,47 +25,18 @@ let guarded f =
       exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Graceful shutdown.  The long-running drivers install these: the
-   first SIGINT/SIGTERM raises a flag checked between units (and
-   polled by the worker-pool supervisor), so the run stops
-   dispatching, reaps its workers, keeps its last checkpoint and
-   exits with a distinct code; a second signal exits immediately. *)
-
-let interrupted : int option ref = ref None
-
-let interrupt_exit_code () =
-  match !interrupted with
-  | Some s when s = Sys.sigterm -> 143
-  | _ -> 130
-
-let install_interrupt_handlers () =
-  let handle s =
-    Sys.Signal_handle
-      (fun _ ->
-        match !interrupted with
-        | Some _ -> exit (if s = Sys.sigterm then 143 else 130)
-        | None -> interrupted := Some s)
-  in
-  Sys.set_signal Sys.sigint (handle Sys.sigint);
-  Sys.set_signal Sys.sigterm (handle Sys.sigterm)
-
-(* ------------------------------------------------------------------ *)
-(* Worker-pool plumbing shared by bounds/experiment.                  *)
-
-let parse_faults = function
-  | None -> Dmc_runtime.Fault.of_env ()
-  | Some spec -> (
-      match Dmc_runtime.Fault.parse spec with
-      | Ok faults -> Dmc_runtime.Fault.of_env () @ faults
-      | Error msg -> failwith msg)
+(* Run control for the batch drivers (bounds, experiment, sweep).
+   Dmc_runtime.Run owns the wiring: interrupts, the pool config, and
+   the choice between the supervised pool and an in-process run. *)
 
 let jobs_arg =
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
          ~doc:"Number of supervised worker processes.  With N > 1 each unit \
-               (engine ladder for $(b,bounds), experiment for \
-               $(b,experiment)) runs in its own forked child under a hard \
-               deadline; results are committed in submission order, so the \
-               output is byte-identical to a sequential run.")
+               (engine ladder for $(b,bounds), window for $(b,bounds \
+               --stream), part for $(b,experiment), row for $(b,sweep)) \
+               runs in its own forked child under a hard deadline; results \
+               are committed in submission order, so the output is \
+               byte-identical to a run with N = 1.")
 
 let job_timeout_arg =
   Arg.(value & opt (some float) None & info [ "job-timeout" ] ~docv:"SECONDS"
@@ -118,9 +89,11 @@ let s_arg =
 let timeout_arg =
   Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS"
          ~doc:"Wall-clock budget. For $(b,bounds): per engine ladder rung, with \
-               graceful degradation down the fallback ladder instead of failure. \
-               For $(b,experiment): overall; the run checkpoints and stops \
-               cleanly between experiments when it expires.")
+               graceful degradation down the fallback ladder instead of failure; \
+               with $(b,--stream), overall: windows not started when it expires \
+               fall back to the trivial bound and count as degraded. For \
+               $(b,experiment): overall; the run checkpoints and stops cleanly \
+               between parts when it expires.")
 
 let node_budget_arg =
   Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"NODES"
@@ -130,9 +103,10 @@ let node_budget_arg =
 let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
          ~doc:"Write a Chrome trace-event JSON timeline of the run to $(docv) \
-               (loadable in chrome://tracing or Perfetto). For $(b,bounds) this \
-               implies the supervised pool path, so per-worker spans are merged \
-               into the trace under their job's lane.")
+               (loadable in chrome://tracing or Perfetto). Like $(b,--profile), \
+               it runs every unit under the supervised pool, even at \
+               $(b,--jobs) 1, so per-worker spans are merged into the trace \
+               under their job's lane.")
 
 let profile_arg =
   Arg.(value & flag & info [ "profile" ]
@@ -140,27 +114,69 @@ let profile_arg =
                quantiles, GC/memory gauges, then span timings) after the run. \
                The counter and histogram sections count algorithmic work, \
                never time, so they are byte-identical across $(b,--jobs) \
-               widths and repeat runs; gauges and spans are not.")
+               widths and repeat runs (every unit runs under the supervised \
+               pool, even at $(b,--jobs) 1); gauges and spans are not.")
 
 let progress_arg =
   Arg.(value & flag & info [ "progress" ]
          ~doc:"Render a live progress line on stderr while the supervised \
                pool runs: jobs done/running/retrying, the running workers' \
                current phase (from heartbeats), an ETA and resident memory. \
-               Implies the pool path; stdout is untouched, so output and \
-               checkpoints stay byte-identical with it on or off.")
+               Runs every unit under the pool, even at $(b,--jobs) 1; stdout \
+               is untouched, so output and checkpoints stay byte-identical \
+               with it on or off.")
 
-let setup_obs ~trace ~profile =
-  if trace <> None || profile then Dmc_obs.Registry.set_enabled true
+(* The run-control flags: Run settings whose faults are parsed (inside
+   the command's error guard) by [start_batch]. *)
+type batch = {
+  run : Dmc_runtime.Run.settings;
+  fault : string option;
+  trace : string option;
+  profile : bool;
+}
 
-let emit_obs ~trace ~profile =
-  (match trace with
-  | Some path -> Dmc_obs.Export.write_chrome_trace path
-  | None -> ());
-  if profile then begin
+let batch_term =
+  let make jobs job_timeout retries fault trace profile progress =
+    let observed = trace <> None || profile in
+    let run =
+      {
+        Dmc_runtime.Run.default with
+        jobs;
+        job_timeout;
+        retries;
+        progress;
+        observed;
+      }
+    in
+    { run; fault; trace; profile }
+  in
+  Term.(
+    const make $ jobs_arg $ job_timeout_arg $ retries_arg $ fault_arg
+    $ trace_arg $ profile_arg $ progress_arg)
+
+(* Start a batch command: interrupt handlers, the registry when a trace,
+   profile or postmortem wants it, and the final Run settings. *)
+let start_batch ?postmortem b =
+  Dmc_runtime.Run.install_interrupt_handlers ();
+  if b.run.observed || postmortem <> None then
+    Dmc_obs.Registry.set_enabled true;
+  { b.run with faults = Dmc_runtime.Run.faults b.fault; postmortem }
+
+let emit_obs b =
+  Option.iter Dmc_obs.Export.write_chrome_trace b.trace;
+  if b.profile then begin
     print_string (Dmc_obs.Export.profile ());
     flush stdout
   end
+
+(* After an interrupted batch: write the trace/profile the run has so
+   far, then exit with the signal's code. *)
+let exit_if_interrupted b =
+  Option.iter
+    (fun code ->
+      emit_obs b;
+      exit code)
+    (Dmc_runtime.Run.interrupted ())
 
 (* ------------------------------------------------------------------ *)
 (* dmc gen                                                            *)
@@ -194,8 +210,7 @@ let gen_cmd =
    and a worker lost to a crash, hard kill or protocol break degrades
    supervisor-side to the engine's terminal rung, with the pool
    verdict recorded as the failed "worker" rung. *)
-let bounds_parallel ~jobs ~job_timeout ~retries ~faults ~progress ?timeout
-    ?node_budget g ~s =
+let bounds_parallel settings ?timeout ?node_budget g ~s =
   let module Pool = Dmc_runtime.Pool in
   let engine_jobs =
     List.map
@@ -203,22 +218,11 @@ let bounds_parallel ~jobs ~job_timeout ~retries ~faults ~progress ?timeout
         Dmc_core.Engine_job.make ?timeout ?node_budget g ~s ~engine:name)
       Dmc_core.Bounds.governed_engines
   in
-  let cfg =
-    {
-      Pool.default with
-      jobs;
-      timeout = job_timeout;
-      max_retries = retries;
-      faults;
-      should_stop = (fun () -> !interrupted <> None);
-      on_progress =
-        (if progress then Some Dmc_runtime.Progress.draw else None);
-    }
-  in
   let outcomes =
-    Pool.run cfg ~worker:(fun _ job -> Dmc_core.Engine_job.run job) engine_jobs
+    Dmc_runtime.Run.batch settings
+      ~worker:(fun _ job -> Dmc_core.Engine_job.run job)
+      engine_jobs
   in
-  if progress then Dmc_runtime.Progress.clear ();
   let rows =
     List.mapi
       (fun i (name, kind) ->
@@ -293,17 +297,15 @@ let print_symbolic_bound (b : Dmc_core.Symbolic_bounds.t) =
   | None -> ()
 
 let bounds_cmd =
-  let run spec file s optimal certify json timeout node_budget governed jobs
-      job_timeout retries fault trace profile progress list_engines p symbolic
-      tile stream window =
+  let run spec file s optimal certify json timeout node_budget governed batch
+      list_engines p symbolic tile stream window =
     setup_logs ();
     guarded @@ fun () ->
     if list_engines then begin
       print_engine_list ();
       exit 0
     end;
-    install_interrupt_handlers ();
-    setup_obs ~trace ~profile;
+    let settings = start_batch batch in
     if symbolic then begin
       (* the whole point is never materializing, so only --gen specs
          make sense here; the spec is parsed, not built *)
@@ -322,7 +324,7 @@ let bounds_cmd =
             print_endline
               (Dmc_util.Json.to_string (Dmc_core.Symbolic_bounds.to_json b))
           else print_symbolic_bound b);
-      emit_obs ~trace ~profile;
+      emit_obs batch;
       exit 0
     end;
     if stream then begin
@@ -339,10 +341,9 @@ let bounds_cmd =
         | Ok imp -> imp
         | Error m -> failwith m
       in
+      let deadline = Option.map (fun t -> Unix.gettimeofday () +. t) timeout in
       let r =
-        if jobs > 1 then
-          Dmc_core.Streaming.wavefront_sum_pooled ?window ?timeout ~jobs imp ~s
-        else Dmc_core.Streaming.wavefront_sum ?window imp ~s
+        Dmc_core.Streaming.wavefront_sum ?window ~settings ?deadline imp ~s
       in
       (if json then
          print_endline
@@ -362,18 +363,17 @@ let bounds_cmd =
             %d degraded)@."
            spec s r.Dmc_core.Streaming.total r.Dmc_core.Streaming.n_windows
            r.Dmc_core.Streaming.degraded);
-      emit_obs ~trace ~profile;
+      exit_if_interrupted batch;
+      emit_obs batch;
       exit 0
     end;
-    let faults = parse_faults fault in
     let g = load_cdag ~spec ~file in
     (* A resource budget switches to the governed path: every engine
        runs under its own guard and degrades down a fallback ladder
        instead of failing, so the command always exits 0 with a status
-       per engine.  Tracing/profiling/progress also routes through the
-       pool: the supervised path is the instrumented one, and running
-       it even at --jobs 1 keeps the counter profile identical across
-       widths. *)
+       per engine.  Whenever the run needs a supervisor (Run.supervised:
+       --jobs > 1, supervision flags, --trace/--profile/--progress) the
+       governed ladder runs one pooled job per engine. *)
     if p <> None then begin
       (* The multi-processor family: one governed row per mp/pc engine
          at (p, S), same ladder discipline as the sequential path. *)
@@ -407,23 +407,15 @@ let bounds_cmd =
               (Dmc_core.Bounds.row_status r))
           rows
       end;
-      emit_obs ~trace ~profile
+      emit_obs batch
     end
-    else if jobs > 1 || faults <> [] || job_timeout <> None || trace <> None
-            || profile || progress
-    then begin
-      let gr =
-        bounds_parallel ~jobs ~job_timeout ~retries ~faults ~progress ?timeout
-          ?node_budget g ~s
-      in
+    else if Dmc_runtime.Run.supervised settings then begin
+      let gr = bounds_parallel settings ?timeout ?node_budget g ~s in
       (if json then
          print_endline
            (Dmc_util.Json.to_string (Dmc_core.Bounds.governed_to_json gr))
        else Format.printf "%a" Dmc_core.Bounds.pp_governed gr);
-      if !interrupted <> None then begin
-        emit_obs ~trace ~profile;
-        exit (interrupt_exit_code ())
-      end
+      exit_if_interrupted batch
     end
     else if governed || timeout <> None || node_budget <> None then begin
       let gr =
@@ -445,7 +437,7 @@ let bounds_cmd =
     if certify then
       Format.printf "wavefront certificate verifies: %b@."
         (Dmc_core.Bounds.certify_wavefront g ~s);
-    emit_obs ~trace ~profile
+    emit_obs batch
   in
   let optimal =
     Arg.(value & flag & info [ "optimal" ]
@@ -503,10 +495,8 @@ let bounds_cmd =
   in
   Cmd.v (Cmd.info "bounds" ~doc:"Lower/upper-bound analysis of a CDAG")
     Term.(const run $ spec_arg $ file_arg $ s_arg $ optimal $ certify $ json
-          $ timeout_arg $ node_budget_arg $ governed $ jobs_arg
-          $ job_timeout_arg $ retries_arg $ fault_arg $ trace_arg
-          $ profile_arg $ progress_arg $ list_engines $ p_arg $ symbolic
-          $ tile_arg $ stream $ window_arg)
+          $ timeout_arg $ node_budget_arg $ governed $ batch_term
+          $ list_engines $ p_arg $ symbolic $ tile_arg $ stream $ window_arg)
 
 (* ------------------------------------------------------------------ *)
 (* dmc game                                                           *)
@@ -807,7 +797,7 @@ let bench_diff_cmd =
 
 (* A flat, serializable unit of experiment work: one part of one
    experiment.  Units are committed in submission order whichever path
-   (sequential, pool, resume) produced them, so the assembled
+   (in-process, pool, resume) produced them, so the assembled
    documents — and every rendering — are byte-identical across --jobs
    widths and across kill/resume. *)
 type experiment_unit = {
@@ -919,15 +909,12 @@ let experiment_restore path ~selected ~units =
       completed
 
 let experiment_cmd =
-  let run names json md timeout checkpoint resume jobs job_timeout retries
-      fault trace profile progress =
+  let run names json md timeout checkpoint resume batch =
     setup_logs ();
     guarded @@ fun () ->
-    install_interrupt_handlers ();
-    setup_obs ~trace ~profile;
+    let settings = start_batch batch in
     if json && md then failwith "--json and --md are mutually exclusive";
     let mode = if json then `Json else if md then `Md else `Text in
-    let faults = parse_faults fault in
     let registry = Dmc_analysis.Report.experiments in
     let selected =
       match names with
@@ -949,12 +936,7 @@ let experiment_cmd =
     let units = experiment_units selected in
     let unit_arr = Array.of_list units in
     let total = List.length units in
-    let ckpt_path =
-      match (checkpoint, resume) with
-      | Some p, _ -> Some p
-      | None, Some p -> Some p
-      | None, None -> None
-    in
+    let ckpt_path = if checkpoint <> None then checkpoint else resume in
     let completed =
       match resume with
       | None -> []
@@ -994,10 +976,10 @@ let experiment_cmd =
                 name (Printexc.to_string exn))
     in
     (* Commit one finished unit: accumulate its payload, render the
-       experiment once its last part lands, then checkpoint.  Both
-       execution paths funnel through here in unit order, so stdout
-       and the checkpoint are byte-identical whichever path — and
-       however many workers — produced the payloads. *)
+       experiment once its last part lands, then checkpoint.  Resumed,
+       in-process and pooled units all funnel through here in unit
+       order, so stdout and the checkpoint are byte-identical whichever
+       backend — and however many workers — produced the payloads. *)
     let commit_unit ?(write = true) u payload =
       done_rev := (u.u_exp, u.u_part, payload) :: !done_rev;
       pending_payloads := payload :: !pending_payloads;
@@ -1016,25 +998,17 @@ let experiment_cmd =
       completed;
     let n_completed = List.length completed in
     let remaining = List.filteri (fun i _ -> i >= n_completed) units in
-    let resume_hint () =
-      (* Only point at a checkpoint that actually exists: a run
-         stopped before its first committed unit never wrote one. *)
-      match ckpt_path with
-      | Some p when Sys.file_exists p ->
-          Printf.sprintf "; resume with --resume %s" p
-      | Some _ | None -> ""
-    in
     let finish ~stopped_early =
-      emit_obs ~trace ~profile;
-      (match !interrupted with
-      | Some _ ->
-          Format.eprintf "dmc: interrupted after %d/%d part(s)%s@."
-            (List.length !done_rev) total (resume_hint ());
-          exit (interrupt_exit_code ())
-      | None -> ());
+      let stopped why =
+        Format.eprintf "dmc: %s after %d/%d part(s)%s@." why
+          (List.length !done_rev) total
+          (Dmc_runtime.Run.resume_hint ckpt_path)
+      in
+      if Dmc_runtime.Run.interrupted () <> None then stopped "interrupted";
+      exit_if_interrupted batch;
+      emit_obs batch;
       if stopped_early then begin
-        Format.eprintf "dmc: timeout reached after %d/%d part(s)%s@."
-          (List.length !done_rev) total (resume_hint ());
+        stopped "timeout reached";
         exit 0
       end;
       (match mode with
@@ -1058,95 +1032,57 @@ let experiment_cmd =
           print_newline ());
       if not !all_ok then exit 1
     in
-    if jobs > 1 || faults <> [] || job_timeout <> None || trace <> None
-       || profile || progress
-    then begin
-      (* Supervised path: one forked worker per part, committed in
-         submission order.  A worker lost to a crash, hard kill or
-         protocol break degrades to an in-process rerun of the same
-         part, so every unit still yields a payload.  Tracing,
-         profiling and progress imply this path even at --jobs 1, so
-         the pool.* counter set — and hence the profile — is identical
-         across widths. *)
-      let module Pool = Dmc_runtime.Pool in
-      let arr = Array.of_list remaining in
-      (* The unit crosses the fork as data: the worker re-resolves the
-         part by (experiment, part) name through the registry, so the
-         job it runs is exactly the serializable Part_job record the
-         checkpoint stores. *)
-      let worker _ u =
-        match
-          Dmc_analysis.Part_job.run { exp = u.u_exp; part = u.u_part }
-        with
-        | Ok payload -> Ok payload
-        | Error msg -> Error (Dmc_util.Budget.Invalid_input msg)
+    (* One job per part, committed in submission order.  The unit is
+       shipped as data: the worker re-resolves the part by (experiment,
+       part) name through the registry, so the job it runs is exactly
+       the serializable Part_job record the checkpoint stores.  A worker
+       lost to a crash, hard kill or protocol break degrades to an
+       in-process rerun of the same part, so every unit still yields a
+       payload. *)
+    let module Pool = Dmc_runtime.Pool in
+    let arr = Array.of_list remaining in
+    let worker _ u =
+      match Dmc_analysis.Part_job.run { exp = u.u_exp; part = u.u_part } with
+      | Ok payload -> Ok payload
+      | Error msg -> Error (Dmc_util.Budget.Invalid_input msg)
+    in
+    let on_result i outcome =
+      let u = arr.(i) in
+      let payload =
+        match outcome.Pool.verdict with
+        | Pool.Done payload -> Some payload
+        | v when Pool.is_transient v -> (
+            Format.eprintf
+              "dmc: experiment %s part %s: worker %s; degrading to an \
+               in-process run@."
+              u.u_exp u.u_part
+              (Pool.verdict_to_string v);
+            match u.u_run () with
+            | payload -> Some payload
+            | exception exn ->
+                Format.eprintf
+                  "dmc: experiment %s part %s: in-process fallback failed \
+                   too: %s@."
+                  u.u_exp u.u_part (Printexc.to_string exn);
+                None)
+        | v ->
+            Format.eprintf "dmc: experiment %s part %s: %s@." u.u_exp u.u_part
+              (Pool.verdict_to_string v);
+            None
       in
-      let cfg =
-        {
-          Pool.default with
-          jobs;
-          timeout = job_timeout;
-          max_retries = retries;
-          faults;
-          should_stop = (fun () -> !interrupted <> None);
-          accept_more =
-            (fun () ->
-              match deadline with
-              | None -> true
-              | Some d -> Unix.gettimeofday () <= d);
-          on_progress =
-            (if progress then Some Dmc_runtime.Progress.draw else None);
-        }
-      in
-      let on_result i outcome =
-        let u = arr.(i) in
-        let payload =
-          match outcome.Pool.verdict with
-          | Pool.Done payload -> Some payload
-          | v -> (
-              Format.eprintf
-                "dmc: experiment %s part %s: worker %s; degrading to an \
-                 in-process run@."
-                u.u_exp u.u_part
-                (Pool.verdict_to_string v);
-              match u.u_run () with
-              | payload -> Some payload
-              | exception exn ->
-                  Format.eprintf
-                    "dmc: experiment %s part %s: in-process fallback failed \
-                     too: %s@."
-                    u.u_exp u.u_part (Printexc.to_string exn);
-                  None)
-        in
-        match payload with
-        | Some payload -> commit_unit u payload
-        | None ->
-            all_ok := false;
-            commit_unit u Dmc_util.Json.Null
-      in
-      let outcomes = Pool.run cfg ~worker ~on_result remaining in
-      if progress then Dmc_runtime.Progress.clear ();
-      let cancelled =
-        Array.exists
-          (fun o ->
-            match o.Pool.verdict with
-            | Pool.Engine_failure Dmc_util.Budget.Cancelled -> true
-            | _ -> false)
-          outcomes
-      in
-      finish ~stopped_early:(cancelled && !interrupted = None)
-    end
-    else begin
-      let timed_out = ref false in
-      List.iter
-        (fun u ->
-          if (not !timed_out) && !interrupted = None then
-            match deadline with
-            | Some d when Unix.gettimeofday () > d -> timed_out := true
-            | _ -> commit_unit u (u.u_run ()))
-        remaining;
-      finish ~stopped_early:!timed_out
-    end
+      match payload with
+      | Some payload -> commit_unit u payload
+      | None ->
+          all_ok := false;
+          commit_unit u Dmc_util.Json.Null
+    in
+    let outcomes =
+      Dmc_runtime.Run.batch ?deadline settings ~worker ~on_result remaining
+    in
+    finish
+      ~stopped_early:
+        (Dmc_runtime.Run.cancelled outcomes > 0
+        && Dmc_runtime.Run.interrupted () = None)
   in
   let names =
     Arg.(value & pos_all string [] & info [] ~docv:"NAME"
@@ -1180,8 +1116,7 @@ let experiment_cmd =
   in
   Cmd.v (Cmd.info "experiment" ~doc:"Run the paper's evaluation experiments")
     Term.(const run $ names $ json_arg $ md_arg $ timeout_arg $ checkpoint
-          $ resume $ jobs_arg $ job_timeout_arg $ retries_arg $ fault_arg
-          $ trace_arg $ profile_arg $ progress_arg)
+          $ resume $ batch_term)
 
 (* ------------------------------------------------------------------ *)
 (* dmc serve / dmc query                                              *)
@@ -1196,8 +1131,8 @@ let serve_cmd =
       job_timeout retries fault =
     setup_logs ();
     guarded @@ fun () ->
-    install_interrupt_handlers ();
-    let faults = parse_faults fault in
+    Dmc_runtime.Run.install_interrupt_handlers ();
+    let faults = Dmc_runtime.Run.faults fault in
     let cfg =
       {
         Dmc_serve.Server.socket_path = socket;
@@ -1209,17 +1144,15 @@ let serve_cmd =
         job_timeout;
         max_retries = retries;
         faults;
-        should_drain = (fun () -> !interrupted <> None);
+        should_drain = (fun () -> Dmc_runtime.Run.interrupted () <> None);
         on_ready =
           Some (fun () -> Format.eprintf "dmc serve: listening on %s@." socket);
       }
     in
     match Dmc_serve.Server.serve cfg with
-    | Ok () -> (
+    | Ok () ->
         (* drain complete: in-flight queries answered, cache persisted *)
-        match !interrupted with
-        | Some _ -> exit (interrupt_exit_code ())
-        | None -> ())
+        Option.iter exit (Dmc_runtime.Run.interrupted ())
     | Error msg ->
         Format.eprintf "dmc serve: %s@." msg;
         exit 1
@@ -1463,20 +1396,16 @@ let host_arg =
 
 let sweep_cmd =
   let run specs sizes seeds ss ps engines json md timeout node_budget hosts
-      checkpoint resume jobs job_timeout retries fault trace profile progress
-      postmortem host_health =
+      checkpoint resume batch postmortem host_health =
     setup_logs ();
     guarded @@ fun () ->
-    install_interrupt_handlers ();
-    setup_obs ~trace ~profile;
-    (* The flight recorder rides the registry; a postmortem dir must
-       arm it even when no trace/profile sink was asked for. *)
-    if postmortem <> None then Dmc_obs.Registry.set_enabled true;
+    (* The flight recorder rides the registry, so a postmortem dir arms
+       it even when no trace/profile sink was asked for. *)
+    let settings = start_batch ?postmortem batch in
     if json && md then failwith "--json and --md are mutually exclusive";
     let module Sweep = Dmc_analysis.Sweep in
     let module Pool = Dmc_runtime.Pool in
     let module Host = Dmc_runtime.Host in
-    let faults = parse_faults fault in
     let parse_axis name = function
       | None -> []
       | Some s -> (
@@ -1529,8 +1458,8 @@ let sweep_cmd =
           (* Pool defaults to a local host of capacity jobs; the
              host-health section needs the ledger records, so build
              the same default explicitly when asked to report on it. *)
-          if host_health then Host.normalize ~jobs [] else []
-      | Ok hs -> Host.normalize ~jobs (List.rev hs)
+          if host_health then Host.normalize ~jobs:settings.jobs [] else []
+      | Ok hs -> Host.normalize ~jobs:settings.jobs (List.rev hs)
     in
     let rows = Sweep.rows grid in
     let total = List.length rows in
@@ -1542,12 +1471,7 @@ let sweep_cmd =
           | Error e -> failwith (Printf.sprintf "%s: %s" r.Sweep.workload e))
         rows
     in
-    let ckpt_path =
-      match (checkpoint, resume) with
-      | Some p, _ -> Some p
-      | None, Some p -> Some p
-      | None, None -> None
-    in
+    let ckpt_path = if checkpoint <> None then checkpoint else resume in
     let completed =
       match resume with
       | None -> []
@@ -1580,28 +1504,12 @@ let sweep_cmd =
       List.filteri (fun i _ -> i >= n_completed) jobs_list
     in
     let row_arr = Array.of_list rows in
-    let cfg =
-      {
-        Pool.default with
-        jobs;
-        timeout = job_timeout;
-        max_retries = retries;
-        faults;
-        should_stop = (fun () -> !interrupted <> None);
-        on_progress =
-          (if progress then Some Dmc_runtime.Progress.draw else None);
-        postmortem_dir = postmortem;
-      }
-    in
     let run_started = Unix.gettimeofday () in
     let on_result i outcome =
       let gi = n_completed + i in
       let payload =
         match outcome.Pool.verdict with
         | Pool.Done payload -> payload
-        | Pool.Engine_failure Dmc_util.Budget.Cancelled ->
-            (* run() never commits cancelled jobs; defensive only *)
-            Dmc_util.Json.Null
         | v -> (
             (* Job-attributed loss (host-attributed failures were
                re-sharded before reaching here): degrade the row
@@ -1619,26 +1527,17 @@ let sweep_cmd =
       commit gi payload
     in
     let _ : Pool.outcome array =
-      Pool.run ~hosts
+      Dmc_runtime.Run.batch ~hosts
         ~encode:(fun (_, j) -> Dmc_core.Engine_job.to_json j)
-        cfg
+        settings
         ~worker:(fun _ (_, j) -> Dmc_core.Engine_job.run j)
         ~on_result remaining
     in
-    if progress then Dmc_runtime.Progress.clear ();
-    (match !interrupted with
-    | Some _ ->
-        emit_obs ~trace ~profile;
-        let hint =
-          match ckpt_path with
-          | Some p when Sys.file_exists p ->
-              Printf.sprintf "; resume with --resume %s" p
-          | Some _ | None -> ""
-        in
-        Format.eprintf "dmc sweep: interrupted after %d/%d row(s)%s@."
-          (List.length !committed_rev) total hint;
-        exit (interrupt_exit_code ())
-    | None -> ());
+    if Dmc_runtime.Run.interrupted () <> None then
+      Format.eprintf "dmc sweep: interrupted after %d/%d row(s)%s@."
+        (List.length !committed_rev) total
+        (Dmc_runtime.Run.resume_hint ckpt_path);
+    exit_if_interrupted batch;
     let doc = Sweep.doc grid ~results:(Array.to_list results) in
     let doc =
       if not host_health then doc
@@ -1682,7 +1581,7 @@ let sweep_cmd =
     | _, true -> print_string (Dmc_analysis.Doc.to_markdown doc)
     | _ -> print_string (Dmc_analysis.Doc.to_text doc));
     flush stdout;
-    emit_obs ~trace ~profile;
+    emit_obs batch;
     if not ok then exit 1
   in
   let specs =
@@ -1769,8 +1668,7 @@ let sweep_cmd =
              fault-tolerant host fleet")
     Term.(const run $ specs $ sizes $ seeds $ ss $ ps_axis $ engines $ json_arg
           $ md_arg $ timeout_arg $ node_budget_arg $ host_arg $ checkpoint
-          $ resume $ jobs_arg $ job_timeout_arg $ retries_arg $ fault_arg
-          $ trace_arg $ profile_arg $ progress_arg $ postmortem $ host_health)
+          $ resume $ batch_term $ postmortem $ host_health)
 
 let () =
   let info =

@@ -224,7 +224,7 @@ let () =
   let jobs = ref 1 in
   let job_timeout = ref None in
   let retries = ref 0 in
-  let cli_faults = ref [] in
+  let fault = ref None in
   let profile = ref false in
   let trace = ref None in
   let progress = ref false in
@@ -261,9 +261,7 @@ let () =
         | _ -> die ("bad --retries value: " ^ v));
         parse rest
     | "--fault" :: v :: rest ->
-        (match Dmc_runtime.Fault.parse v with
-        | Ok faults -> cli_faults := !cli_faults @ faults
-        | Error msg -> die msg);
+        fault := Some (Option.fold ~none:v ~some:(fun f -> f ^ "," ^ v) !fault);
         parse rest
     | "--profile" :: rest ->
         profile := true;
@@ -281,7 +279,20 @@ let () =
         parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
-  if !profile || !trace <> None then Dmc_obs.Registry.set_enabled true;
+  let observed = !profile || !trace <> None in
+  if observed then Dmc_obs.Registry.set_enabled true;
+  let faults = try Dmc_runtime.Run.faults !fault with Failure msg -> die msg in
+  let settings =
+    {
+      Dmc_runtime.Run.default with
+      jobs = !jobs;
+      job_timeout = !job_timeout;
+      retries = !retries;
+      faults;
+      progress = !progress;
+      observed;
+    }
+  in
   let pos_int what v =
     match int_of_string_opt v with Some i -> i | None -> die ("bad " ^ what ^ ": " ^ v)
   in
@@ -328,21 +339,11 @@ let () =
   in
   if start_case > 1 then
     Printf.eprintf "fuzz: resuming at case %d/%d\n%!" start_case cases;
-  (* Graceful shutdown: the first SIGINT/SIGTERM stops dispatching,
-     reaps any workers, keeps the last checkpoint and exits with a
-     distinct code; a second one exits immediately. *)
-  let interrupted = ref None in
-  let install_signal s =
-    Sys.set_signal s
-      (Sys.Signal_handle
-         (fun _ ->
-           match !interrupted with
-           | Some _ -> exit (if s = Sys.sigterm then 143 else 130)
-           | None -> interrupted := Some s))
-  in
-  install_signal Sys.sigint;
-  install_signal Sys.sigterm;
-  let deadline = Option.map (fun t -> Dmc_util.Budget.now () +. t) !timeout in
+  (* The first SIGINT/SIGTERM stops dispatching, reaps any workers,
+     keeps the last checkpoint and exits with a distinct code; a second
+     one exits immediately. *)
+  Dmc_runtime.Run.install_interrupt_handlers ();
+  let deadline = Option.map (fun t -> Unix.gettimeofday () +. t) !timeout in
   let total_vertices = ref tv0 in
   let failures = ref f0 in
   let record ~case ~case_seed ~family ~s ~n check msg =
@@ -359,136 +360,77 @@ let () =
              ~total_vertices:!total_vertices ~failures:!failures))
       !ckpt_path
   in
-  let stopped_at = ref None in
-  (if !jobs > 1 then begin
-     (* Supervised pool: one forked worker per case, results committed
-        in case order.  Case seeds are drawn from the master stream at
-        dispatch time, with the post-draw state snapshotted per case so
-        every checkpoint resumes the exact stream. *)
-     let module Pool = Dmc_runtime.Pool in
-     let n_remaining = cases - start_case + 1 in
-     if n_remaining > 0 then begin
-       let seeds = Array.make n_remaining (0, "") in
-       for k = 0 to n_remaining - 1 do
-         let case_seed = Rng.next master in
-         seeds.(k) <- (case_seed, Rng.save master)
-       done;
-       let worker _ k =
-         let case_seed, _ = seeds.(k) in
-         match run_case ~case_seed with
-         | Ok n -> Ok (J.Obj [ ("n", J.Int n) ])
-         | Error (check, msg, family, s, n) ->
-             Ok
-               (J.Obj
-                  [
-                    ("check", J.String check);
-                    ("msg", J.String msg);
-                    ("family", J.String family);
-                    ("s", J.opt (fun v -> J.Int v) s);
-                    ("n", J.opt (fun v -> J.Int v) n);
-                  ])
-       in
-       let on_result k outcome =
-         let case = start_case + k in
-         let case_seed, rng = seeds.(k) in
-         (match outcome.Pool.verdict with
-         | Pool.Done payload -> (
-             let field f conv = Option.bind (J.mem payload f) conv in
-             match field "check" J.as_string with
-             | Some check ->
-                 let str f = Option.value ~default:"?" (field f J.as_string) in
-                 record ~case ~case_seed ~family:(str "family")
-                   ~s:(field "s" J.as_int) ~n:(field "n" J.as_int) check
-                   (str "msg")
-             | None -> (
-                 match field "n" J.as_int with
-                 | Some n -> total_vertices := !total_vertices + n
-                 | None ->
-                     record ~case ~case_seed ~family:"?" ~s:None ~n:None
-                       "worker-protocol" "result frame lacks n"))
-         | v ->
-             (* The child died before it could persist anything, so the
-                supervisor emits the reproducer: case index + seeds are
-                enough to replay the case deterministically. *)
-             record ~case ~case_seed ~family:"?" ~s:None ~n:None "worker"
-               (Pool.verdict_to_string v));
-         checkpoint_after ~next_case:(case + 1) ~rng
-       in
-       let cfg =
-         {
-           Pool.default with
-           jobs = !jobs;
-           timeout = !job_timeout;
-           max_retries = !retries;
-           faults = Dmc_runtime.Fault.of_env () @ !cli_faults;
-           should_stop = (fun () -> !interrupted <> None);
-           accept_more =
-             (fun () ->
-               match deadline with
-               | None -> true
-               | Some d -> Dmc_util.Budget.now () <= d);
-           on_progress =
-             (if !progress then Some Dmc_runtime.Progress.draw else None);
-         }
-       in
-       let outcomes =
-         Pool.run cfg ~worker ~on_result (List.init n_remaining Fun.id)
-       in
-       if !progress then Dmc_runtime.Progress.clear ();
-       let cancelled =
-         Array.fold_left
-           (fun acc o ->
-             match o.Pool.verdict with
-             | Pool.Engine_failure Dmc_util.Budget.Cancelled -> acc + 1
-             | _ -> acc)
-           0 outcomes
-       in
-       if cancelled > 0 then stopped_at := Some (cases - cancelled)
-     end
-   end
-   else begin
-     let i = ref start_case in
-     let timed_out = ref false in
-     while !i <= cases && not !timed_out && !interrupted = None do
-       match deadline with
-       | Some d when Dmc_util.Budget.now () > d -> timed_out := true
-       | _ ->
-           let case_seed = Rng.next master in
-           (match run_case ~case_seed with
-           | Ok n -> total_vertices := !total_vertices + n
-           | Error (check, msg, family, s, n) ->
-               record ~case:!i ~case_seed ~family ~s ~n check msg);
-           incr i;
-           checkpoint_after ~next_case:(!i) ~rng:(Rng.save master)
-     done;
-     if !timed_out || !interrupted <> None then stopped_at := Some (!i - 1)
-   end);
+  (* One job per case, committed in case order.  Case seeds are drawn
+     from the master stream up front, with the post-draw state
+     snapshotted per case so every checkpoint resumes the exact
+     stream. *)
+  let module Pool = Dmc_runtime.Pool in
+  let n_remaining = max 0 (cases - start_case + 1) in
+  let seeds =
+    Array.init n_remaining (fun _ ->
+        let case_seed = Rng.next master in
+        (case_seed, Rng.save master))
+  in
+  let worker _ k =
+    let case_seed, _ = seeds.(k) in
+    match run_case ~case_seed with
+    | Ok n -> Ok (J.Obj [ ("n", J.Int n) ])
+    | Error (check, msg, family, s, n) ->
+        Ok
+          (J.Obj
+             [
+               ("check", J.String check);
+               ("msg", J.String msg);
+               ("family", J.String family);
+               ("s", J.opt (fun v -> J.Int v) s);
+               ("n", J.opt (fun v -> J.Int v) n);
+             ])
+  in
+  let on_result k outcome =
+    let case = start_case + k in
+    let case_seed, rng = seeds.(k) in
+    (match outcome.Pool.verdict with
+    | Pool.Done payload -> (
+        let field f conv = Option.bind (J.mem payload f) conv in
+        match field "check" J.as_string with
+        | Some check ->
+            let str f = Option.value ~default:"?" (field f J.as_string) in
+            record ~case ~case_seed ~family:(str "family")
+              ~s:(field "s" J.as_int) ~n:(field "n" J.as_int) check
+              (str "msg")
+        | None -> (
+            match field "n" J.as_int with
+            | Some n -> total_vertices := !total_vertices + n
+            | None ->
+                record ~case ~case_seed ~family:"?" ~s:None ~n:None
+                  "worker-protocol" "result frame lacks n"))
+    | v ->
+        (* A lost worker persisted nothing, so the coordinator emits
+           the reproducer: case index + seeds are enough to replay the
+           case deterministically. *)
+        record ~case ~case_seed ~family:"?" ~s:None ~n:None "worker"
+          (Pool.verdict_to_string v));
+    checkpoint_after ~next_case:(case + 1) ~rng
+  in
+  let cancelled =
+    Dmc_runtime.Run.cancelled
+      (Dmc_runtime.Run.batch ?deadline settings ~worker ~on_result
+         (List.init n_remaining Fun.id))
+  in
   (match !trace with
   | Some path -> Dmc_obs.Export.write_chrome_trace path
   | None -> ());
   if !profile then print_string (Dmc_obs.Export.profile ());
-  let resume_hint () =
-    (* Only point at a checkpoint that actually exists: a run stopped
-       before its first committed case never wrote one. *)
-    match !ckpt_path with
-    | Some p when Sys.file_exists p ->
-        Printf.sprintf " (resume with --resume %s)" p
-    | Some _ | None -> ""
-  in
-  (match (!interrupted, !stopped_at) with
-  | Some _, Some at ->
-      Printf.printf "fuzz: interrupted after %d/%d cases%s\n" at cases
-        (resume_hint ())
-  | Some _, None ->
-      Printf.printf "fuzz: interrupted after %d/%d cases%s\n" cases cases
-        (resume_hint ())
-  | None, Some at ->
-      Printf.printf "fuzz: timeout after %d/%d cases%s\n" at cases
-        (resume_hint ())
-  | None, None ->
+  let hint = Dmc_runtime.Run.resume_hint !ckpt_path in
+  (match Dmc_runtime.Run.interrupted () with
+  | Some _ ->
+      Printf.printf "fuzz: interrupted after %d/%d cases%s\n" (cases - cancelled)
+        cases hint
+  | None when cancelled > 0 ->
+      Printf.printf "fuzz: timeout after %d/%d cases%s\n" (cases - cancelled)
+        cases hint
+  | None ->
       Printf.printf "fuzz: %d cases, %d vertices total, %d violation(s)\n" cases
         !total_vertices !failures);
   if Stdlib.( > ) !failures 0 then exit 1;
-  match !interrupted with
-  | Some s -> exit (if s = Sys.sigterm then 143 else 130)
-  | None -> ()
+  Option.iter exit (Dmc_runtime.Run.interrupted ())

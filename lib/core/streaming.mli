@@ -19,8 +19,9 @@ type result = {
   total : int;  (** the Theorem-2 sum — a valid whole-graph bound *)
   n_windows : int;
   degraded : int;
-      (** windows that fell back to the trivial bound 0 after their
-          pool worker failed; always 0 in the sequential path *)
+      (** windows that fell back to the trivial bound 0: their worker
+          was lost after retries, or they never started because the
+          run was interrupted or reached its drain deadline *)
   windows : window_bound array;
 }
 
@@ -28,23 +29,18 @@ val default_window : int
 (** 4096 vertices per window. *)
 
 val wavefront_sum :
-  ?samples:int -> ?window:int -> Implicit.t -> s:int -> result
-(** Sequential sweep.  [samples] is forwarded to
-    {!Wavefront.lower_bound} (windows at or below its exact threshold
-    are solved exactly).  Deterministic: the engine seeds its own rng
-    per window. *)
-
-val wavefront_sum_pooled :
   ?samples:int ->
   ?window:int ->
-  ?timeout:float ->
-  ?retries:int ->
-  jobs:int ->
+  ?settings:Dmc_runtime.Run.settings ->
+  ?deadline:float ->
   Implicit.t ->
   s:int ->
   result
-(** The same sweep fanned out over {!Dmc_runtime.Pool} fork workers
-    ([jobs <= 1] degrades to {!wavefront_sum}).  Results commit in
-    window order, so totals and rows are byte-identical across [jobs]
-    widths; a window whose worker fails after retries contributes the
-    sound trivial bound 0 and is counted in [degraded]. *)
+(** The sweep, one {!Dmc_runtime.Run.batch} job per window.  [samples]
+    is forwarded to {!Wavefront.lower_bound} (windows at or below its
+    exact threshold are solved exactly).  [settings] (default
+    {!Dmc_runtime.Run.default}: in the caller) may fan the windows out
+    over supervised fork workers; results commit in window order and
+    the engine seeds its own rng per window, so totals and rows are
+    byte-identical across widths.  [deadline] is the batch's drain
+    deadline: windows not started by then count as [degraded]. *)

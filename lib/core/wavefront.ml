@@ -35,28 +35,6 @@ let wmax_exact ?budget g =
     (fun () ->
       Cdag.fold_vertices g (fun acc x -> max acc (min_wavefront ?budget g x)) 0)
 
-let wmax_exact_par ?domains g =
-  let n = Cdag.n_vertices g in
-  let domains =
-    match domains with
-    | Some d -> max 1 d
-    | None -> Domain.recommended_domain_count ()
-  in
-  if domains <= 1 || n < 64 then wmax_exact g
-  else begin
-    let chunks = min domains n in
-    let worker c () =
-      let best = ref 0 in
-      let lo = c * n / chunks and hi = (c + 1) * n / chunks in
-      for x = lo to hi - 1 do
-        best := max !best (min_wavefront g x)
-      done;
-      !best
-    in
-    let handles = List.init chunks (fun c -> Domain.spawn (worker c)) in
-    List.fold_left (fun acc h -> max acc (Domain.join h)) 0 handles
-  end
-
 let wmax_sampled ?budget rng g ~samples =
   let n = Cdag.n_vertices g in
   if n = 0 then 0

@@ -26,13 +26,6 @@ val wmax_exact : ?budget:Budget.t -> Cdag.t -> int
 (** [w_max = max_x |Wmin(x)|] over every vertex — one max-flow per
     vertex, so quadratic-ish; intended for small and mid-size CDAGs. *)
 
-val wmax_exact_par : ?domains:int -> Cdag.t -> int
-(** {!wmax_exact} with the per-vertex max-flows fanned out over OCaml 5
-    domains (default {!Domain.recommended_domain_count}); the flows are
-    independent and the CDAG is immutable, so the sweep is
-    embarrassingly parallel.  Falls back to the sequential sweep for
-    one domain or tiny graphs. *)
-
 val wmax_sampled : ?budget:Budget.t -> Rng.t -> Cdag.t -> samples:int -> int
 (** Max of [|Wmin(x)|] over a random sample of vertices.  Always a
     valid (possibly weaker) stand-in for [w_max] in {!lemma2_bound},

@@ -152,6 +152,15 @@ let spawn_command ~argv ~envelope =
 (* ------------------------------------------------------------------ *)
 (* Worker side                                                         *)
 
+let guard run =
+  try run () with
+  | Budget.Exhausted f -> Error f
+  | Budget.Internal_error { where; details } ->
+      Error (Budget.Internal (where ^ ": " ^ details))
+  | Stack_overflow ->
+      Error (Budget.Too_large "worker recursion exceeded the OCaml stack")
+  | e -> Error (Budget.Internal ("worker raised: " ^ Printexc.to_string e))
+
 let attempt_body ~fault ~hb ?(obs = false) ?trace ~output run =
   match fault with
   | Some Fault.Hang ->
@@ -198,17 +207,8 @@ let attempt_body ~fault ~hb ?(obs = false) ?trace ~output run =
          send "start";
          Dmc_obs.Registry.on_span_close := Some send
        end);
-      let result =
-        try run () with
-        | Budget.Exhausted f -> Error f
-        | Budget.Internal_error { where; details } ->
-            Error (Budget.Internal (where ^ ": " ^ details))
-        | Stack_overflow ->
-            Error (Budget.Too_large "worker recursion exceeded the OCaml stack")
-        | e -> Error (Budget.Internal ("worker raised: " ^ Printexc.to_string e))
-      in
       let frame =
-        match result with
+        match guard run with
         | Ok v -> Json.Obj [ ("ok", v) ]
         | Error f -> Json.Obj [ ("err", Json.String (Budget.failure_to_string f)) ]
       in

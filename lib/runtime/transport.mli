@@ -84,6 +84,14 @@ val spawn_command : argv:string array -> envelope:Dmc_util.Json.t -> proc
     seconds and classification reports the failure).  SIGPIPE is
     ignored process-wide on first use. *)
 
+val guard :
+  (unit -> (Dmc_util.Json.t, Dmc_util.Budget.failure) result) ->
+  (Dmc_util.Json.t, Dmc_util.Budget.failure) result
+(** Run a worker thunk with the standard exception mapping:
+    [Budget.Exhausted] and [Internal_error] to their failures,
+    [Stack_overflow] to [Too_large], anything else to [Internal].
+    Never raises. *)
+
 val attempt_body :
   fault:Fault.kind option ->
   hb:bool ->
@@ -97,11 +105,9 @@ val attempt_body :
     garbage), enable the registry when [hb] or [obs] asks for
     telemetry, optionally stream rate-limited heartbeat phase frames
     from span closes (tagged with the trace context's host/lease when
-    present), run the thunk with the standard exception mapping
-    ([Budget.Exhausted] / [Internal_error] / [Stack_overflow] /
-    anything else), attach the obs snapshot (and echo the trace
-    context) when the registry is enabled, and write the single result
-    frame.  Never raises. *)
+    present), run the thunk under {!guard}, attach the obs snapshot
+    (and echo the trace context) when the registry is enabled, and
+    write the single result frame.  Never raises. *)
 
 val run_call :
   input:Unix.file_descr ->

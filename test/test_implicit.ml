@@ -162,6 +162,59 @@ let test_registry () =
       | _ -> Alcotest.failf "registry build failed for %s" name)
     small
 
+(* ------------------------------------------------------------------ *)
+(* Streamed Theorem-2 sweeps                                           *)
+
+module Streaming = Dmc_core.Streaming
+module Run = Dmc_runtime.Run
+
+(* The windows give the same rows in the caller and over fork
+   workers, and none of them degrades. *)
+let test_stream_backends () =
+  let imp = Implicit_gen.jacobi_1d ~n:600 ~steps:3 in
+  let local = Streaming.wavefront_sum ~window:500 imp ~s:8 in
+  let pooled =
+    Streaming.wavefront_sum ~window:500
+      ~settings:{ Run.default with jobs = 2 }
+      imp ~s:8
+  in
+  check "windows" 5 local.Streaming.n_windows;
+  check "nothing degraded" 0 (local.Streaming.degraded + pooled.Streaming.degraded);
+  check "same total" local.Streaming.total pooled.Streaming.total;
+  check_bool "same rows" true (local.Streaming.windows = pooled.Streaming.windows)
+
+let dmc_exe =
+  Filename.concat
+    (Filename.concat (Filename.dirname Sys.executable_name) "../bin")
+    "dmc.exe"
+
+(* The supervision flags reach the pool: an injected crash with no
+   retries loses exactly one window, reported as degraded. *)
+let test_stream_fault_degrades () =
+  if not (Sys.file_exists dmc_exe) then
+    Alcotest.fail ("dmc binary missing: " ^ dmc_exe);
+  let cmd =
+    String.concat " "
+      (List.map Filename.quote
+         [
+           dmc_exe; "bounds"; "--stream"; "-g"; "chain:10000"; "-s"; "4";
+           "--window"; "2000"; "--jobs"; "2"; "--fault"; "abort:1";
+           "--retries"; "0"; "--json";
+         ])
+    ^ " 2>/dev/null"
+  in
+  let ic = Unix.open_process_in cmd in
+  let out = In_channel.input_all ic in
+  (match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.failf "%s failed" cmd);
+  match Dmc_util.Json.parse out with
+  | Ok json ->
+      let field f = Option.bind (Dmc_util.Json.mem json f) Dmc_util.Json.as_int in
+      check "windows" 5 (Option.value ~default:(-1) (field "windows"));
+      check "degraded" 1 (Option.value ~default:(-1) (field "degraded"))
+  | Error e -> Alcotest.failf "bad JSON from %s: %s" cmd e
+
 let () =
   Alcotest.run "implicit"
     [
@@ -182,4 +235,10 @@ let () =
         ] );
       ( "registry",
         [ Alcotest.test_case "registry" `Quick test_registry ] );
+      ( "streaming",
+        [
+          Alcotest.test_case "in-process = pooled" `Quick test_stream_backends;
+          Alcotest.test_case "--fault degrades one window" `Quick
+            test_stream_fault_degrades;
+        ] );
     ]

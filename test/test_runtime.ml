@@ -10,6 +10,7 @@ module Ipc = Dmc_util.Ipc
 module Fault = Dmc_runtime.Fault
 module Pool = Dmc_runtime.Pool
 module Progress = Dmc_runtime.Progress
+module Run = Dmc_runtime.Run
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -253,32 +254,38 @@ let staggered_worker i n =
   Unix.sleepf (float_of_int (8 - i) *. 0.02);
   Ok (Json.Int (n * 10))
 
-let commit_trace cfg jobs =
+(* [batch ~on_result] runs the staggered jobs on some backend. *)
+let commit_trace batch =
   let order = ref [] in
   let outcomes =
-    Pool.run cfg ~worker:staggered_worker
-      ~on_result:(fun i o ->
+    batch ~on_result:(fun i o ->
         let payload =
           match o.Pool.verdict with
           | Pool.Done j -> Json.to_string j
           | v -> Pool.verdict_to_string v
         in
         order := (i, payload) :: !order)
-      jobs
   in
   (List.rev !order, outcomes)
 
 let test_order_determinism () =
   let jobs = List.init 8 (fun i -> i + 1) in
-  let seq, seq_out = commit_trace { Pool.default with jobs = 1 } jobs in
-  let par, par_out = commit_trace { Pool.default with jobs = 4 } jobs in
+  let pool cfg ~on_result = Pool.run cfg ~worker:staggered_worker ~on_result jobs in
+  let seq, seq_out = commit_trace (pool { Pool.default with jobs = 1 }) in
+  let par, par_out = commit_trace (pool { Pool.default with jobs = 4 }) in
+  let inp, inp_out =
+    commit_trace (fun ~on_result ->
+        Run.batch Run.default ~worker:staggered_worker ~on_result jobs)
+  in
   check_bool "commit order is submission order" true
     (List.map fst par = [ 0; 1; 2; 3; 4; 5; 6; 7 ]);
   check_bool "parallel trace equals sequential trace" true (seq = par);
+  check_bool "in-process trace equals parallel trace" true (inp = par);
+  let same_verdicts a b =
+    Array.for_all2 (fun x y -> x.Pool.verdict = y.Pool.verdict) a b
+  in
   check_bool "outcome payloads agree" true
-    (Array.for_all2
-       (fun a b -> a.Pool.verdict = b.Pool.verdict)
-       seq_out par_out)
+    (same_verdicts seq_out par_out && same_verdicts inp_out par_out)
 
 let test_isolation () =
   (* One crashing worker must not disturb its siblings' results. *)
@@ -324,7 +331,75 @@ let test_stop_accounting () =
       0 outcomes
   in
   check "non-cancelled outcomes = committed results" !commits non_cancelled;
-  check "nothing committed past the blocked prefix" 0 !commits
+  check "nothing committed past the blocked prefix" 0 !commits;
+  (* The in-process backend under a drain deadline that passes during
+     job 1: jobs 0 and 1 commit, nothing after them starts. *)
+  let commits = ref 0 in
+  let outcomes =
+    Run.batch
+      ~deadline:(Unix.gettimeofday () +. 0.15)
+      Run.default
+      ~worker:(fun i _ ->
+        Unix.sleepf 0.1;
+        Ok (Json.Int i))
+      ~on_result:(fun _ _ -> incr commits)
+      [ 0; 1; 2; 3; 4; 5 ]
+  in
+  check "in-process drain: non-cancelled = committed" !commits
+    (Array.length outcomes - Run.cancelled outcomes);
+  check "in-process drain: started jobs committed" 2 !commits;
+  (* ... and under a stop: job 2 interrupts its own process, so the
+     batch commits it and stops.  A batch nested inside job 2 still
+     runs whole.  The interrupt flag is process-wide, so this runs in a
+     child that reports commits * 10 + non-cancelled as its exit code. *)
+  match Unix.fork () with
+  | 0 ->
+      Run.install_interrupt_handlers ();
+      let commits = ref 0 and inner = ref 0 in
+      let outcomes =
+        Run.batch Run.default
+          ~worker:(fun i _ ->
+            if i = 2 then begin
+              Unix.kill (Unix.getpid ()) Sys.sigint;
+              ignore
+                (Run.batch Run.default
+                   ~worker:(fun j _ -> Ok (Json.Int j))
+                   ~on_result:(fun _ _ -> incr inner)
+                   [ 0; 1; 2 ])
+            end;
+            Ok (Json.Int i))
+          ~on_result:(fun _ _ -> incr commits)
+          [ 0; 1; 2; 3; 4; 5 ]
+      in
+      let code =
+        if Run.interrupted () <> Some 130 || !inner <> 3 then 99
+        else (!commits * 10) + Array.length outcomes - Run.cancelled outcomes
+      in
+      Unix._exit code
+  | pid -> (
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED code ->
+          check "in-process stop: 3 committed, 3 non-cancelled" 33 code
+      | _ -> Alcotest.fail "in-process stop child died")
+
+(* The backend rule: nothing needing a supervisor runs the worker in
+   the caller; a job timeout (SIGKILL deadline) forces a fork. *)
+let test_backend_choice () =
+  let pid_of settings =
+    match
+      (Run.batch settings
+         ~worker:(fun _ () -> Ok (Json.Int (Unix.getpid ())))
+         [ () ]).(0).Pool.verdict
+    with
+    | Pool.Done (Json.Int pid) -> pid
+    | v -> Alcotest.failf "pid probe: %s" (Pool.verdict_to_string v)
+  in
+  let me = Unix.getpid () in
+  let timed = { Run.default with job_timeout = Some 5.0 } in
+  check_bool "default is in-process" false (Run.supervised Run.default);
+  check_bool "jobs=1 runs in the caller" true (pid_of Run.default = me);
+  check_bool "a job timeout is supervised" true (Run.supervised timed);
+  check_bool "a job timeout runs in a child" true (pid_of timed <> me)
 
 (* ------------------------------------------------------------------ *)
 (* Progress channel                                                    *)
@@ -635,6 +710,7 @@ let () =
             test_order_determinism;
           Alcotest.test_case "crash isolation" `Quick test_isolation;
           Alcotest.test_case "hard-stop accounting" `Quick test_stop_accounting;
+          Alcotest.test_case "backend choice" `Quick test_backend_choice;
         ] );
       ( "progress",
         [
