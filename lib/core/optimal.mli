@@ -10,18 +10,32 @@ module Cdag := Dmc_cdag.Cdag
     [rb_io <= rbw_io] (forbidding recomputation can only increase
     I/O).
 
-    The search is Dijkstra over game states with loads/stores of
-    cost 1 and computes/deletes of cost 0.  Deletions are normalized to
-    happen only when a placement finds the fast memory full — a
-    standard no-loss transformation, since capacity only binds at
-    placements — which keeps the state space finite and small.  State
-    encoding packs the white/red/blue vertex sets into one [int], so
-    {!rbw_io} accepts up to 20 vertices and {!rb_io} up to 31;
-    [max_states] guards against blow-up. *)
+    Both games run through one search.  Loads and stores cost 1,
+    computes and deletes 0.  Deletions are normalized to happen only
+    when a placement finds the fast memory full — a standard no-loss
+    transformation, since capacity only binds at placements — which
+    keeps the state space finite and small.  A state packs the
+    white/red/blue vertex sets into one [int], so {!rbw_io} accepts up
+    to 20 vertices and {!rb_io} up to 31.
+
+    The search is A*, run as a 0-1 BFS over a deque of states, with a
+    flat open-addressing table of best costs.  Its heuristic is the
+    I/O floor of what remains: in the RBW game every input not yet
+    white still needs its own load (inputs are never computed) and
+    every non-input output not yet blue its own store; in the
+    Hong–Kung game every output not yet blue still needs its own
+    store.  These are distinct cost-1 moves, so the count never
+    exceeds the remaining cost (admissible), and one move lowers it
+    by at most the move's own cost (consistent).  Consistency keeps
+    every reduced cost [c + h(v) - h(u)] at 0 or 1, which is what
+    lets a deque replace a priority queue.  At the start state the
+    RBW heuristic equals [Bounds.io_floor].  [max_states] caps the
+    number of distinct states stored. *)
 
 exception Too_large of string
-(** Raised when the graph exceeds the encodable size or the search
-    visits more than [max_states] distinct states.
+(** Raised when the graph exceeds the encodable size, when the search
+    would store more than [max_states] distinct states, or when no
+    complete game exists.
 
     All engines additionally accept a [budget] guard
     ({!Dmc_util.Budget.t}) ticked from their inner loops; deadline or

@@ -121,7 +121,7 @@ let test_partition_deadline () =
   | Error e -> Alcotest.failf "wrong failure: %s" (Budget.failure_to_string e)
 
 let test_rbw_node_budget () =
-  (* The Dijkstra sweep ticks once per expanded state; 50 states is far
+  (* The search ticks once per popped state; 50 states is far
      too few for a 16-vertex game, so the budget must fire first. *)
   let g = Dmc_gen.Shapes.diamond ~rows:4 ~cols:4 in
   match

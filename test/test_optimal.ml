@@ -1,5 +1,6 @@
-(* Tests for the exhaustive optimal-game search — known optima,
-   model-relating inequalities, and budget guards. *)
+(* Tests for the exhaustive optimal-game search — known optima, a
+   differential oracle against plain Dijkstra, model-relating
+   inequalities, and budget guards. *)
 
 module Cdag = Dmc_cdag.Cdag
 module Optimal = Dmc_core.Optimal
@@ -49,6 +50,154 @@ let test_tree_s_large () =
   (* with S large there are no spills: 8 loads + 1 store *)
   check "tree no spill" 9 (Optimal.rbw_io g ~s:15);
   check "rb agrees" 9 (Optimal.rb_io g ~s:15)
+
+let test_pinned_optima () =
+  (* the ground-truth optima the benchmark's expected output records *)
+  List.iter
+    (fun (spec, s, io) ->
+      let g = Dmc_gen.Workload.parse_exn spec in
+      check (Printf.sprintf "%s @ S=%d" spec s) io (Optimal.rbw_io g ~s))
+    [
+      ("diamond:3,4", 3, 8);
+      ("tree:8", 3, 15);
+      ("fft:2", 3, 14);
+      ("fft:2", 5, 9);
+      ("pyramid:4", 3, 18);
+      ("jacobi1d:4,2", 5, 10);
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Differential oracle: plain Dijkstra                                 *)
+
+(* An independent reference: uniform-cost Dijkstra over a polymorphic
+   Hashtbl and a binary heap, with no heuristic, and each game's move
+   rules written out on its own.  [None] when no complete game exists. *)
+module Reference = struct
+  module Heap = Dmc_util.Heap
+
+  let popcount =
+    let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
+    fun x -> go x 0
+
+  let pred_masks g =
+    Array.init (Cdag.n_vertices g) (fun v ->
+        Cdag.fold_pred g v (fun m u -> m lor (1 lsl u)) 0)
+
+  let mask_of_list vs = List.fold_left (fun m v -> m lor (1 lsl v)) 0 vs
+
+  let dijkstra ~start ~is_goal ~successors =
+    let dist = Hashtbl.create 4096 in
+    let heap = Heap.create () in
+    Hashtbl.replace dist start 0;
+    Heap.push heap ~prio:0 ~value:start;
+    let rec loop () =
+      match Heap.pop_min heap with
+      | None -> None
+      | Some (cost, st) ->
+          if cost > Hashtbl.find dist st then loop ()
+          else if is_goal st then Some cost
+          else begin
+            successors st (fun c st' ->
+                let c' = cost + c in
+                match Hashtbl.find_opt dist st' with
+                | Some known when known <= c' -> ()
+                | _ ->
+                    Hashtbl.replace dist st' c';
+                    Heap.push heap ~prio:c' ~value:st');
+            loop ()
+          end
+    in
+    loop ()
+
+  (* RBW: states white | red | blue *)
+  let rbw_io g ~s =
+    let n = Cdag.n_vertices g in
+    let preds = pred_masks g in
+    let input_mask = mask_of_list (Cdag.inputs g) in
+    let output_mask = mask_of_list (Cdag.outputs g) in
+    let all_mask = (1 lsl n) - 1 in
+    let encode ~white ~red ~blue = (white lsl (2 * n)) lor (red lsl n) lor blue in
+    let white_of st = st lsr (2 * n) in
+    let red_of st = (st lsr n) land all_mask in
+    let blue_of st = st land all_mask in
+    let is_goal st =
+      white_of st = all_mask && output_mask land lnot (blue_of st) = 0
+    in
+    let successors st push =
+      let white = white_of st and red = red_of st and blue = blue_of st in
+      let full = popcount red >= s in
+      let place ?(protect = 0) cost v =
+        let bit = 1 lsl v in
+        if not full then
+          push cost (encode ~white:(white lor bit) ~red:(red lor bit) ~blue)
+        else
+          for r = 0 to n - 1 do
+            if red land (1 lsl r) <> 0 && protect land (1 lsl r) = 0 then
+              push cost
+                (encode ~white:(white lor bit)
+                   ~red:((red land lnot (1 lsl r)) lor bit)
+                   ~blue)
+          done
+      in
+      for v = 0 to n - 1 do
+        let bit = 1 lsl v in
+        if red land bit = 0 then begin
+          if blue land bit <> 0 then place 1 v;
+          if
+            white land bit = 0
+            && input_mask land bit = 0
+            && preds.(v) land lnot red = 0
+          then place ~protect:preds.(v) 0 v
+        end
+        else if blue land bit = 0 then
+          push 1 (encode ~white ~red ~blue:(blue lor bit))
+      done
+    in
+    dijkstra ~start:(encode ~white:0 ~red:0 ~blue:input_mask) ~is_goal ~successors
+
+  (* Hong–Kung: states red | blue, recomputation allowed *)
+  let rb_io g ~s =
+    let n = Cdag.n_vertices g in
+    let preds = pred_masks g in
+    let input_mask = mask_of_list (Cdag.inputs g) in
+    let output_mask = mask_of_list (Cdag.outputs g) in
+    let encode ~red ~blue = (red lsl n) lor blue in
+    let red_of st = st lsr n in
+    let blue_of st = st land ((1 lsl n) - 1) in
+    let is_goal st = output_mask land lnot (blue_of st) = 0 in
+    let successors st push =
+      let red = red_of st and blue = blue_of st in
+      let full = popcount red >= s in
+      let place ?(protect = 0) cost v =
+        let bit = 1 lsl v in
+        if not full then push cost (encode ~red:(red lor bit) ~blue)
+        else
+          for r = 0 to n - 1 do
+            if red land (1 lsl r) <> 0 && protect land (1 lsl r) = 0 then
+              push cost (encode ~red:((red land lnot (1 lsl r)) lor bit) ~blue)
+          done
+      in
+      for v = 0 to n - 1 do
+        let bit = 1 lsl v in
+        if red land bit = 0 then begin
+          if blue land bit <> 0 then place 1 v;
+          if input_mask land bit = 0 && preds.(v) land lnot red = 0 then
+            place ~protect:preds.(v) 0 v
+        end
+        else if blue land bit = 0 then push 1 (encode ~red ~blue:(blue lor bit))
+      done
+    in
+    dijkstra ~start:(encode ~red:0 ~blue:input_mask) ~is_goal ~successors
+end
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"A* search equals plain Dijkstra in both games" ~count:100
+    QCheck.(pair (Dmc_testlib.Gen_cdag.arbitrary ~max_n:10 ()) (int_range 1 3))
+    (fun (spec, extra) ->
+      let g = Dmc_testlib.Gen_cdag.spec_to_cdag spec in
+      let s = Dmc_testlib.Gen_cdag.max_indegree spec + extra in
+      Reference.rbw_io g ~s = Some (Optimal.rbw_io g ~s)
+      && Reference.rb_io g ~s = Some (Optimal.rb_io g ~s))
 
 (* ------------------------------------------------------------------ *)
 (* Inequalities between the models                                     *)
@@ -215,6 +364,27 @@ let test_size_guards () =
     (Optimal.Too_large "Optimal: state budget exhausted") (fun () ->
       ignore (Optimal.rbw_io ~max_states:10 (Dmc_gen.Shapes.reduction_tree 8) ~s:3))
 
+(* [max_states] caps the distinct states stored, start included. *)
+let test_state_cap_boundary () =
+  let exhausted = Optimal.Too_large "Optimal: state budget exhausted" in
+  (* chain 2 at S = 2: load, compute, store — every reachable state is
+     stored, 4 in all *)
+  let g = Dmc_gen.Shapes.chain 2 in
+  check "rbw fits in 4 states" 2 (Optimal.rbw_io ~max_states:4 g ~s:2);
+  check "rb fits in 4 states" 2 (Optimal.rb_io ~max_states:4 g ~s:2);
+  Alcotest.check_raises "rbw needs a 4th state" exhausted (fun () ->
+      ignore (Optimal.rbw_io ~max_states:3 g ~s:2));
+  Alcotest.check_raises "rb needs a 4th state" exhausted (fun () ->
+      ignore (Optimal.rb_io ~max_states:3 g ~s:2));
+  (* chain 3 at S = 1: only the input load is possible, so the search
+     stores 2 states and then runs dry *)
+  let g = Dmc_gen.Shapes.chain 3 in
+  Alcotest.check_raises "2 states: no complete game"
+    (Optimal.Too_large "Optimal: no complete game found (exhausted states)")
+    (fun () -> ignore (Optimal.rbw_io ~max_states:2 g ~s:1));
+  Alcotest.check_raises "1 state: cap" exhausted (fun () ->
+      ignore (Optimal.rbw_io ~max_states:1 g ~s:1))
+
 let test_input_validation () =
   let g = Dmc_gen.Shapes.chain 3 in
   Alcotest.check_raises "s must be positive"
@@ -242,7 +412,9 @@ let () =
           Alcotest.test_case "independent outputs" `Quick test_independent_outputs;
           Alcotest.test_case "two-level fanin" `Quick test_two_level_fanin;
           Alcotest.test_case "tree without spills" `Quick test_tree_s_large;
+          Alcotest.test_case "pinned ground truth" `Quick test_pinned_optima;
         ] );
+      qsuite "oracle" [ prop_matches_reference ];
       qsuite "inequalities"
         [
           prop_rb_le_rbw;
@@ -262,6 +434,7 @@ let () =
       ( "guards",
         [
           Alcotest.test_case "size guards" `Quick test_size_guards;
+          Alcotest.test_case "state cap boundary" `Quick test_state_cap_boundary;
           Alcotest.test_case "input validation" `Quick test_input_validation;
         ] );
     ]
