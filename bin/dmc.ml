@@ -32,11 +32,12 @@ let guarded f =
 let jobs_arg =
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
          ~doc:"Number of supervised worker processes.  With N > 1 each unit \
-               (engine ladder for $(b,bounds), window for $(b,bounds \
+               (engine row for $(b,bounds), window for $(b,bounds \
                --stream), part for $(b,experiment), row for $(b,sweep)) \
                runs in its own forked child under a hard deadline; results \
                are committed in submission order, so the output is \
-               byte-identical to a run with N = 1.")
+               byte-identical to a run with N = 1.  It chooses where the \
+               units run, never which engines or rungs run.")
 
 let job_timeout_arg =
   Arg.(value & opt (some float) None & info [ "job-timeout" ] ~docv:"SECONDS"
@@ -88,7 +89,8 @@ let s_arg =
 
 let timeout_arg =
   Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS"
-         ~doc:"Wall-clock budget. For $(b,bounds): per engine ladder rung, with \
+         ~doc:"Wall-clock budget. For $(b,bounds): selects the governed table \
+               (as $(b,--budget) does) and bounds each engine ladder rung, with \
                graceful degradation down the fallback ladder instead of failure; \
                with $(b,--stream), overall: windows not started when it expires \
                fall back to the trivial bound and count as degraded. For \
@@ -98,7 +100,8 @@ let timeout_arg =
 let node_budget_arg =
   Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"NODES"
          ~doc:"Search-node budget per engine ladder rung (each engine ticks the \
-               guard once per search step).")
+               guard once per search step).  For $(b,bounds) it selects the \
+               governed table.")
 
 let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
@@ -106,7 +109,7 @@ let trace_arg =
                (loadable in chrome://tracing or Perfetto). Like $(b,--profile), \
                it runs every unit under the supervised pool, even at \
                $(b,--jobs) 1, so per-worker spans are merged into the trace \
-               under their job's lane.")
+               under their job's lane; stdout is unchanged.")
 
 let profile_arg =
   Arg.(value & flag & info [ "profile" ]
@@ -115,16 +118,19 @@ let profile_arg =
                The counter and histogram sections count algorithmic work, \
                never time, so they are byte-identical across $(b,--jobs) \
                widths and repeat runs (every unit runs under the supervised \
-               pool, even at $(b,--jobs) 1); gauges and spans are not.")
+               pool, even at $(b,--jobs) 1); gauges and spans are not.  \
+               Everything before the profile is what the run prints \
+               without it.")
 
 let progress_arg =
   Arg.(value & flag & info [ "progress" ]
          ~doc:"Render a live progress line on stderr while the supervised \
                pool runs: jobs done/running/retrying, the running workers' \
                current phase (from heartbeats), an ETA and resident memory. \
-               Runs every unit under the pool, even at $(b,--jobs) 1; stdout \
-               is untouched, so output and checkpoints stay byte-identical \
-               with it on or off.")
+               Runs every unit under the pool, even at $(b,--jobs) 1, which \
+               changes where units run, never what they compute; stdout is \
+               untouched, so output and checkpoints stay byte-identical with \
+               it on or off.")
 
 (* The run-control flags: Run settings whose faults are parsed (inside
    the command's error guard) by [start_batch]. *)
@@ -205,44 +211,6 @@ let gen_cmd =
 (* ------------------------------------------------------------------ *)
 (* dmc bounds                                                         *)
 
-(* One pool job per governed engine: the ladder runs in a forked
-   worker ([Engine_job] reconstructs it from name + serialized graph),
-   and a worker lost to a crash, hard kill or protocol break degrades
-   supervisor-side to the engine's terminal rung, with the pool
-   verdict recorded as the failed "worker" rung. *)
-let bounds_parallel settings ?timeout ?node_budget g ~s =
-  let module Pool = Dmc_runtime.Pool in
-  let engine_jobs =
-    List.map
-      (fun (name, _) ->
-        Dmc_core.Engine_job.make ?timeout ?node_budget g ~s ~engine:name)
-      Dmc_core.Bounds.governed_engines
-  in
-  let outcomes =
-    Dmc_runtime.Run.batch settings
-      ~worker:(fun _ job -> Dmc_core.Engine_job.run job)
-      engine_jobs
-  in
-  let rows =
-    List.mapi
-      (fun i (name, kind) ->
-        let o = outcomes.(i) in
-        let degraded failure =
-          Dmc_core.Bounds.degraded_row g ~s ~engine:name ~kind ~failure
-            ~elapsed:o.Pool.elapsed
-        in
-        match o.Pool.verdict with
-        | Pool.Done payload -> (
-            match Dmc_core.Bounds.row_of_json payload with
-            | Some row -> row
-            | None ->
-                degraded
-                  (Dmc_util.Budget.Internal "worker returned an unparseable row"))
-        | v -> degraded (Option.get (Pool.verdict_failure v)))
-      Dmc_core.Bounds.governed_engines
-  in
-  Dmc_core.Bounds.assemble_governed g ~s rows
-
 (* Engine enumeration for --list-engines: the governed (sequential)
    family's one-liners live here; the multi-processor family carries
    its own doc strings in the registry. *)
@@ -297,7 +265,7 @@ let print_symbolic_bound (b : Dmc_core.Symbolic_bounds.t) =
   | None -> ()
 
 let bounds_cmd =
-  let run spec file s optimal certify json timeout node_budget governed batch
+  let run spec file s optimal certify json timeout node_budget batch
       list_engines p symbolic tile stream window =
     setup_logs ();
     guarded @@ fun () ->
@@ -368,75 +336,74 @@ let bounds_cmd =
       exit 0
     end;
     let g = load_cdag ~spec ~file in
-    (* A resource budget switches to the governed path: every engine
-       runs under its own guard and degrades down a fallback ladder
-       instead of failing, so the command always exits 0 with a status
-       per engine.  Whenever the run needs a supervisor (Run.supervised:
-       --jobs > 1, supervision flags, --trace/--profile/--progress) the
-       governed ladder runs one pooled job per engine. *)
-    if p <> None then begin
-      (* The multi-processor family: one governed row per mp/pc engine
-         at (p, S), same ladder discipline as the sequential path. *)
-      let p = Option.get p in
-      let rows =
-        List.map
-          (fun (e : Dmc_core.Mp_bounds.info) ->
-            Dmc_core.Mp_bounds.row ?timeout ?node_budget g ~p ~s e.name)
-          Dmc_core.Mp_bounds.engines
-      in
-      if json then
-        print_endline
-          (Dmc_util.Json.to_string
-             (Dmc_util.Json.Obj
-                [
-                  ("kind", Dmc_util.Json.String "dmc-mp-bounds");
-                  ("p", Dmc_util.Json.Int p);
-                  ("s", Dmc_util.Json.Int s);
-                  ( "rows",
-                    Dmc_util.Json.List
-                      (List.map Dmc_core.Bounds.row_to_json rows) );
-                ]))
-      else begin
-        Format.printf "multi-processor bounds at p=%d, S=%d:@." p s;
-        List.iter
-          (fun (r : Dmc_core.Bounds.row) ->
-            Format.printf "  %-12s %-6s %-8s rung=%-8s %s@." r.engine
-              (Dmc_core.Bounds.kind_to_string r.kind)
-              (match r.value with Some v -> string_of_int v | None -> "-")
-              r.rung
-              (Dmc_core.Bounds.row_status r))
-          rows
-      end;
-      emit_obs batch
-    end
-    else if Dmc_runtime.Run.supervised settings then begin
-      let gr = bounds_parallel settings ?timeout ?node_budget g ~s in
-      (if json then
-         print_endline
-           (Dmc_util.Json.to_string (Dmc_core.Bounds.governed_to_json gr))
-       else Format.printf "%a" Dmc_core.Bounds.pp_governed gr);
-      exit_if_interrupted batch
-    end
-    else if governed || timeout <> None || node_budget <> None then begin
-      let gr =
-        Dmc_core.Bounds.analyze_governed ?timeout ?node_budget g ~s
-      in
-      if json then
-        print_endline
-          (Dmc_util.Json.to_string (Dmc_core.Bounds.governed_to_json gr))
-      else Format.printf "%a" Dmc_core.Bounds.pp_governed gr
-    end
-    else begin
-      let report =
-        Dmc_core.Bounds.analyze ~optimal_limit:(if optimal then 20 else 0) g ~s
-      in
-      if json then
-        print_endline (Dmc_util.Json.to_string (Dmc_core.Bounds.report_to_json report))
-      else Format.printf "%a@." Dmc_core.Bounds.pp_report report
-    end;
+    (* One path for every table: the family comes from -p, the mode from
+       --timeout/--budget, and Run.batch runs one row per engine.  The
+       run-control flags choose only its backend (in-process, or one
+       forked worker per row that inherits [g]), never the rows. *)
+    let module B = Dmc_core.Bounds in
+    let module E = Dmc_core.Engine_job in
+    let engines =
+      match p with
+      | None -> List.map fst B.governed_engines
+      | Some _ -> Dmc_core.Mp_bounds.engine_names
+    in
+    let mode =
+      if timeout = None && node_budget = None then
+        B.Report { optimal_limit = (if optimal then 20 else 0) }
+      else B.Ladder { timeout; node_budget }
+    in
+    let wavefront = lazy (B.row mode g ~s "wavefront") in
+    let outcomes =
+      Dmc_runtime.Run.batch settings
+        ~worker:(fun _ engine ->
+          Ok (B.row_to_json (E.row ~wavefront ?p mode g ~s engine)))
+        engines
+    in
+    let rows =
+      List.mapi
+        (fun i engine ->
+          let o = outcomes.(i) in
+          E.of_verdict ?p g ~s ~engine ~elapsed:o.Dmc_runtime.Pool.elapsed
+            o.Dmc_runtime.Pool.verdict)
+        engines
+    in
+    let print_json j = print_endline (Dmc_util.Json.to_string j) in
+    (match (p, mode) with
+    | Some p, _ ->
+        if json then
+          print_json
+            (Dmc_util.Json.Obj
+               [
+                 ("kind", Dmc_util.Json.String "dmc-mp-bounds");
+                 ("p", Dmc_util.Json.Int p);
+                 ("s", Dmc_util.Json.Int s);
+                 ("rows", Dmc_util.Json.List (List.map B.row_to_json rows));
+               ])
+        else begin
+          Format.printf "multi-processor bounds at p=%d, S=%d:@." p s;
+          List.iter
+            (fun (r : B.row) ->
+              Format.printf "  %-12s %-6s %-8s rung=%-8s %s@." r.engine
+                (B.kind_to_string r.kind)
+                (match r.value with Some v -> string_of_int v | None -> "-")
+                r.rung (B.row_status r))
+            rows
+        end
+    | None, B.Report _ ->
+        (* A report has no status column: an interrupted run prints no
+           report rather than its cancelled rows' stand-in values. *)
+        exit_if_interrupted batch;
+        let report = B.report_of_rows g ~s rows in
+        if json then print_json (B.report_to_json report)
+        else Format.printf "%a@." B.pp_report report
+    | None, B.Ladder _ ->
+        let gr = B.assemble_governed g ~s rows in
+        if json then print_json (B.governed_to_json gr)
+        else Format.printf "%a" B.pp_governed gr);
+    exit_if_interrupted batch;
     if certify then
       Format.printf "wavefront certificate verifies: %b@."
-        (Dmc_core.Bounds.certify_wavefront g ~s);
+        (B.certify_wavefront g ~s);
     emit_obs batch
   in
   let optimal =
@@ -448,11 +415,6 @@ let bounds_cmd =
            ~doc:"Extract and verify a Menger witness for the wavefront bound.")
   in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit JSON instead of text.") in
-  let governed =
-    Arg.(value & flag & info [ "governed" ]
-           ~doc:"Use the governed engine ladder even without a budget \
-                 (every engine is attempted, including the exhaustive ones).")
-  in
   let list_engines =
     Arg.(value & flag & info [ "list-engines" ]
            ~doc:"List every bound engine (governed and multi-processor) \
@@ -495,7 +457,7 @@ let bounds_cmd =
   in
   Cmd.v (Cmd.info "bounds" ~doc:"Lower/upper-bound analysis of a CDAG")
     Term.(const run $ spec_arg $ file_arg $ s_arg $ optimal $ certify $ json
-          $ timeout_arg $ node_budget_arg $ governed $ batch_term
+          $ timeout_arg $ node_budget_arg $ batch_term
           $ list_engines $ p_arg $ symbolic $ tile_arg $ stream $ window_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1514,13 +1476,12 @@ let sweep_cmd =
             (* Job-attributed loss (host-attributed failures were
                re-sharded before reaching here): degrade the row
                coordinator-side, so the sweep never loses a row. *)
-            let failure = Option.get (Pool.verdict_failure v) in
             Format.eprintf "dmc sweep: row %d (%s s=%d p=%d %s): worker \
                             %s; degrading@."
               gi row_arr.(gi).Sweep.workload row_arr.(gi).Sweep.s
               row_arr.(gi).Sweep.p row_arr.(gi).Sweep.engine
               (Pool.verdict_to_string v);
-            match Sweep.degraded grid row_arr.(gi) ~failure with
+            match Sweep.degraded grid row_arr.(gi) v with
             | Ok p -> p
             | Error _ -> Dmc_util.Json.Null)
       in

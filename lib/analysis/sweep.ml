@@ -189,7 +189,7 @@ let job t row =
         (Engine_job.make ?timeout:t.tmo ?node_budget:t.budget ~p:row.p g
            ~s:row.s ~engine:row.engine)
 
-let degraded t row ~failure =
+let degraded t row verdict =
   match
     match Hashtbl.find_opt t.graphs row.workload with
     | Some g -> Ok g
@@ -197,17 +197,10 @@ let degraded t row ~failure =
   with
   | Error e -> Error e
   | Ok g ->
-      let degraded =
-        match List.assoc_opt row.engine Bounds.governed_engines with
-        | Some kind ->
-            Bounds.degraded_row g ~s:row.s ~engine:row.engine ~kind ~failure
-              ~elapsed:0.
-        | None ->
-            (* [make] validated the name, so it is a {!Mp_bounds} engine. *)
-            Mp_bounds.degraded_row g ~p:row.p ~s:row.s ~engine:row.engine
-              ~failure ~elapsed:0.
-      in
-      Ok (Bounds.row_to_json degraded)
+      Ok
+        (Bounds.row_to_json
+           (Engine_job.of_verdict ~p:row.p g ~s:row.s ~engine:row.engine
+              ~elapsed:0. verdict))
 
 (* ------------------------------------------------------------------ *)
 (* Axis syntax                                                         *)

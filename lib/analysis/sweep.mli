@@ -61,13 +61,12 @@ val job : t -> row -> (Dmc_core.Engine_job.t, string) result
     once per concrete workload spec and memoized inside [t]. *)
 
 val degraded :
-  t -> row -> failure:Dmc_util.Budget.failure -> (Dmc_util.Json.t, string) result
-(** The coordinator-side terminal payload for a row whose worker was
-    lost for job-attributed reasons (host-attributed failures are
-    re-sharded by the pool instead): {!Dmc_core.Bounds.degraded_row}
-    (or {!Dmc_core.Mp_bounds.degraded_row} for the multi-processor
-    engines) with zero elapsed, serialized like a worker row.  The run never
-    loses a row to a lost worker — it degrades it. *)
+  t -> row -> Dmc_runtime.Pool.verdict -> (Dmc_util.Json.t, string) result
+(** The coordinator-side payload for a row whose worker was lost for
+    job-attributed reasons (host-attributed failures are re-sharded by
+    the pool instead): {!Dmc_core.Engine_job.of_verdict} with zero
+    elapsed, serialized like a worker row.  The run never loses a row
+    to a lost worker — it degrades it. *)
 
 val parse_int_list : string -> (int list, string) result
 (** Comma-separated integers with inclusive ranges:

@@ -35,7 +35,10 @@ type curve = {
 }
 
 let engine_value g ~p ~s engine =
-  let row = Mp_bounds.row g ~p ~s engine in
+  let row =
+    Mp_bounds.row (Bounds.Ladder { timeout = None; node_budget = None }) g ~p ~s
+      engine
+  in
   match row.Bounds.value with
   | Some v -> v
   | None ->

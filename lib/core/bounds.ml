@@ -22,58 +22,6 @@ let io_floor g =
   in
   Cdag.n_inputs g + stored_outputs
 
-let analyze ?(exact_partition_limit = 9) ?(optimal_limit = 0) g ~s =
-  let floor = io_floor g in
-  let wavefront_lb = Wavefront.lower_bound g ~s in
-  let small_enough = Cdag.n_compute g <= exact_partition_limit in
-  let partition_lb =
-    if small_enough then
-      match Spartition.lower_bound_exact g ~s with
-      | lb -> Some lb
-      | exception Optimal.Too_large _ -> None
-    else None
-  in
-  let partition_u_lb =
-    if Cdag.n_compute g <= 22 && Cdag.n_vertices g <= 62 then
-      match Spartition.lower_bound_u g ~s with
-      | lb -> Some lb
-      | exception Optimal.Too_large _ -> None
-    else None
-  in
-  let span_lb =
-    if Cdag.n_vertices g <= 16 then
-      match Span.lower_bound g ~s with
-      | lb -> Some lb
-      | exception Optimal.Too_large _ -> None
-    else None
-  in
-  let optimal_io =
-    if optimal_limit > 0 && Cdag.n_vertices g <= min optimal_limit 20 then
-      match Optimal.rbw_io g ~s with
-      | io -> Some io
-      | exception Optimal.Too_large _ -> None
-    else None
-  in
-  let candidates =
-    floor :: wavefront_lb
-    :: List.filter_map Fun.id [ partition_lb; partition_u_lb; span_lb ]
-  in
-  {
-    s;
-    n_vertices = Cdag.n_vertices g;
-    n_edges = Cdag.n_edges g;
-    io_floor = floor;
-    wavefront_lb;
-    partition_lb;
-    partition_u_lb;
-    span_lb;
-    best_lb = List.fold_left max 0 candidates;
-    belady_ub = Strategy.io ~policy:Strategy.Belady g ~s;
-    lru_ub = Strategy.io ~policy:Strategy.Lru g ~s;
-    trivial_ub = Strategy.trivial_io g;
-    optimal_io;
-  }
-
 let pp_report ppf r =
   let pp_opt ppf = function
     | None -> Format.pp_print_string ppf "-"
@@ -224,171 +172,193 @@ let governed_engines =
     ("lru", Upper);
   ]
 
-let governed_max_indeg g =
-  Cdag.fold_vertices g
-    (fun acc v ->
-      if Cdag.is_input g v then acc else max acc (Cdag.in_degree g v))
-    0
+(* ------------------------------------------------------------------ *)
+(* Rung plans and the ladder runner                                    *)
+
+type mode =
+  | Report of { optimal_limit : int }
+  | Ladder of { timeout : float option; node_budget : int option }
+
+type step =
+  | Rung of string * (Budget.t option -> int)
+  | Refused of string * string
 
 let c_ticks = Dmc_obs.Counter.make "budget.ticks"
 
-let governed_row ?timeout ?node_budget ?(samples = 64) ?wavefront g ~s engine =
+let run_ladder mode ~engine ~kind steps =
   let fresh_budget () =
-    match (timeout, node_budget) with
-    | None, None -> None
-    | _ -> Some (Budget.create ?deadline:timeout ?nodes:node_budget ())
+    match mode with
+    | Report _ | Ladder { timeout = None; node_budget = None } -> None
+    | Ladder { timeout; node_budget } ->
+        Some (Budget.create ?deadline:timeout ?nodes:node_budget ())
   in
+  let t0 = Budget.now () in
+  let finish value rung attempts =
+    { engine; kind; value; rung; attempts = List.rev attempts;
+      elapsed = Budget.now () -. t0 }
+  in
+  (* Each rung gets its own fresh budget: a rung that times out must not
+     also starve its fallback.  The first rung that succeeds wins the
+     row; a refused rung is recorded without running. *)
+  let rec go attempts = function
+    | [] -> finish None "-" attempts
+    | Refused (rung, reason) :: rest -> go ((rung, Too_large reason) :: attempts) rest
+    | Rung (rung, compute) :: rest -> (
+        (* Terminal rungs (the I/O floor, the trivial schedule) are O(n)
+           and exist precisely so a starved budget still yields a sound
+           value — they run outside the budget.  The floor engine's own
+           row is terminal in the same sense: its value is already
+           computed, and budgeting it would let a fully expired deadline
+           (the check races the clock even for a pure return) strip the
+           one row that may never lose its value. *)
+        let budget =
+          if rung = "floor" || rung = "trivial" || engine = "floor" then None
+          else fresh_budget ()
+        in
+        let outcome =
+          Dmc_obs.Span.with_
+            ~attrs:[ ("engine", engine); ("rung", rung) ]
+            (engine ^ "/" ^ rung)
+            (fun () ->
+              let r = Engine.run ?budget (fun () -> compute budget) in
+              (match budget with
+              | Some b ->
+                  let spent = Budget.spent b in
+                  Dmc_obs.Counter.add c_ticks spent;
+                  Dmc_obs.Span.note "ticks" (string_of_int spent)
+              | None -> ());
+              (match r with
+              | Ok _ -> Dmc_obs.Span.note "outcome" "ok"
+              | Error e -> Dmc_obs.Span.note "outcome" (failure_token e));
+              r)
+        in
+        match outcome with
+        | Ok v -> finish (Some v) rung attempts
+        | Error e -> go ((rung, e) :: attempts) rest)
+  in
+  go [] steps
+
+(* ------------------------------------------------------------------ *)
+(* The sequential engines' plans                                       *)
+
+let fits_trivial g ~s =
+  s
+  > Cdag.fold_vertices g
+      (fun acc v ->
+        if Cdag.is_input g v then acc else max acc (Cdag.in_degree g v))
+      0
+
+let kind_of engine =
+  match List.assoc_opt engine governed_engines with
+  | Some k -> k
+  | None -> invalid_arg ("Bounds: unknown engine " ^ engine)
+
+(* [wavefront] is the wavefront row of the same run: its achieved value
+   is the middle rung of every other lower-bound ladder (a sound lower
+   bound for the same quantity).  Left unforced, each row — a pool
+   worker's, say — derives it on demand, which is value-deterministic
+   (fixed sampler seed) even if the work is repeated. *)
+let rec row ?samples ?wavefront mode g ~s engine =
+  match (engine, wavefront) with
+  | "wavefront", Some wf -> Lazy.force wf
+  | _ ->
+      run_ladder mode ~engine ~kind:(kind_of engine)
+        (plan ?samples ?wavefront mode g ~s engine)
+
+and plan ?(samples = 64) ?wavefront mode g ~s engine =
+  let n = Cdag.n_vertices g and n_compute = Cdag.n_compute g in
   let floor = io_floor g in
-  (* Each ladder rung gets its own fresh budget: a rung that times out
-     must not also starve its fallback.  The first rung that succeeds
-     wins the row. *)
-  let run_ladder engine kind rungs =
-    let t0 = Budget.now () in
-    let rec go attempts = function
-      | [] ->
-          {
-            engine;
-            kind;
-            value = None;
-            rung = "-";
-            attempts = List.rev attempts;
-            elapsed = Budget.now () -. t0;
-          }
-      | (rung, f) :: rest -> (
-          (* Terminal rungs (the I/O floor, the trivial schedule) are
-             O(n) and exist precisely so a starved budget still yields a
-             sound value — they run outside the budget.  The floor
-             engine's own row is terminal in the same sense: its value
-             is already computed, and budgeting it would let a fully
-             expired deadline (the check races the clock even for a
-             pure return) strip the one row that may never lose its
-             value. *)
-          let budget =
-            if rung = "floor" || rung = "trivial" || engine = "floor" then None
-            else fresh_budget ()
-          in
-          let outcome =
-            Dmc_obs.Span.with_
-              ~attrs:[ ("engine", engine); ("rung", rung) ]
-              (engine ^ "/" ^ rung)
-              (fun () ->
-                let r = Engine.run ?budget (fun () -> f budget) in
-                (match budget with
-                | Some b ->
-                    let spent = Budget.spent b in
-                    Dmc_obs.Counter.add c_ticks spent;
-                    Dmc_obs.Span.note "ticks" (string_of_int spent)
-                | None -> ());
-                (match r with
-                | Ok _ -> Dmc_obs.Span.note "outcome" "ok"
-                | Error e -> Dmc_obs.Span.note "outcome" (failure_token e));
-                r)
-          in
-          match outcome with
-          | Ok v ->
-              {
-                engine;
-                kind;
-                value = Some v;
-                rung;
-                attempts = List.rev attempts;
-                elapsed = Budget.now () -. t0;
-              }
-          | Error e -> go ((rung, e) :: attempts) rest)
-    in
-    go [] rungs
+  let floor_rung = Rung ("floor", fun _ -> floor) in
+  (* An exhaustive search: in a report, run within its size gate and
+     refused beyond it; in a ladder, always tried, falling back to the
+     wavefront row's value and then to the floor. *)
+  let search ~fits limit compute =
+    match mode with
+    | Report _ when fits -> [ Rung ("exact", compute) ]
+    | Report _ ->
+        [
+          Refused
+            ( "exact",
+              Printf.sprintf "refused by size: %d vertices, %d compute (limit %s)"
+                n n_compute limit );
+        ]
+    | Ladder _ ->
+        let wavefront =
+          match wavefront with
+          | Some wf -> wf
+          | None -> lazy (row ~samples mode g ~s "wavefront")
+        in
+        [
+          Rung ("exact", compute);
+          Rung
+            ( "wavefront",
+              fun _ -> Option.value ~default:floor (Lazy.force wavefront).value );
+          floor_rung;
+        ]
   in
-  let floor_rung = ("floor", fun _ -> floor) in
-  let wavefront_ladder () =
-    run_ladder "wavefront" Lower
+  let schedule policy =
+    Rung ("exact", fun b -> Strategy.io ?budget:b ~policy g ~s)
+    ::
+    (match mode with
+    | Report _ -> []
+    | Ladder _ ->
+        (* the trivial schedule only exists when every vertex's operands
+           fit beside it, so the upper-bound ladder's last rung still
+           has a precondition *)
+        [
+          Rung
+            ( "trivial",
+              fun _ ->
+                if fits_trivial g ~s then Strategy.trivial_io g
+                else failwith "Bounds: S too small for the trivial schedule" );
+        ])
+  in
+  match (engine, mode) with
+  | "floor", _ -> [ Rung ("exact", fun _ -> floor) ]
+  | "wavefront", Report _ ->
+      [ Rung ("auto", fun b -> Wavefront.lower_bound ?budget:b ~samples g ~s) ]
+  | "wavefront", Ladder _ ->
       [
-        ( "exact",
-          fun b ->
-            Wavefront.lower_bound_via (Wavefront.wmax_exact ?budget:b) g ~s );
-        ( "sampled",
-          fun b ->
-            let rng = Dmc_util.Rng.create 0x5eed in
-            Wavefront.lower_bound_via
-              (fun g' -> Wavefront.wmax_sampled_anytime ?budget:b rng g' ~samples)
-              g ~s );
+        Rung
+          ( "exact",
+            fun b -> Wavefront.lower_bound_via (Wavefront.wmax_exact ?budget:b) g ~s
+          );
+        Rung
+          ( "sampled",
+            fun b ->
+              let rng = Dmc_util.Rng.create 0x5eed in
+              Wavefront.lower_bound_via
+                (fun g' -> Wavefront.wmax_sampled_anytime ?budget:b rng g' ~samples)
+                g ~s );
         floor_rung;
       ]
-  in
-  (* The wavefront's achieved value is the middle rung of every other
-     lower-bound ladder (it is a sound lower bound for the same
-     quantity).  [analyze_governed] precomputes it once and passes it
-     in; an isolated worker computing a single row derives it on
-     demand, which is value-deterministic (fixed sampler seed) even if
-     the work is repeated. *)
-  let wavefront_value =
-    lazy
-      (match wavefront with
-      | Some v -> v
-      | None -> (
-          match (wavefront_ladder ()).value with Some v -> v | None -> floor))
-  in
-  let wf_rung = ("wavefront", fun _ -> Lazy.force wavefront_value) in
-  let lb_ladder name exact_fn =
-    run_ladder name Lower [ ("exact", exact_fn); wf_rung; floor_rung ]
-  in
-  (* The trivial schedule only exists when every vertex's operands fit
-     beside it, so the upper-bound ladder's last rung still has a
-     precondition. *)
-  let max_indeg = governed_max_indeg g in
-  let trivial_rung =
-    ( "trivial",
-      fun _ ->
-        if s >= max_indeg + 1 then Strategy.trivial_io g
-        else failwith "Bounds: S too small for the trivial schedule" )
-  in
-  match engine with
-  | "floor" -> run_ladder "floor" Lower [ ("exact", fun _ -> floor) ]
-  | "wavefront" -> wavefront_ladder ()
-  | "partition-h" ->
-      lb_ladder "partition-h" (fun b -> Spartition.lower_bound_exact ?budget:b g ~s)
-  | "partition-u" ->
-      lb_ladder "partition-u" (fun b -> Spartition.lower_bound_u ?budget:b g ~s)
-  | "span" -> lb_ladder "span" (fun b -> Span.lower_bound ?budget:b g ~s)
-  | "optimal" ->
-      run_ladder "optimal" Exact
-        [ ("exact", fun b -> Optimal.rbw_io ?budget:b g ~s); wf_rung; floor_rung ]
-  | "belady" ->
-      run_ladder "belady" Upper
-        [
-          ("exact", fun b -> Strategy.io ?budget:b ~policy:Strategy.Belady g ~s);
-          trivial_rung;
-        ]
-  | "lru" ->
-      run_ladder "lru" Upper
-        [
-          ("exact", fun b -> Strategy.io ?budget:b ~policy:Strategy.Lru g ~s);
-          trivial_rung;
-        ]
-  | other -> invalid_arg ("Bounds.governed_row: unknown engine " ^ other)
+  | "partition-h", _ ->
+      search ~fits:(n_compute <= 9) "9 compute" (fun b ->
+          Spartition.lower_bound_exact ?budget:b g ~s)
+  | "partition-u", _ ->
+      search
+        ~fits:(n_compute <= 22 && n <= 62)
+        "22 compute, 62 vertices"
+        (fun b -> Spartition.lower_bound_u ?budget:b g ~s)
+  | "span", _ ->
+      search ~fits:(n <= 16) "16 vertices" (fun b -> Span.lower_bound ?budget:b g ~s)
+  | "optimal", _ ->
+      let limit =
+        match mode with Report { optimal_limit } -> min optimal_limit 20 | Ladder _ -> 0
+      in
+      search ~fits:(limit > 0 && n <= limit) (Printf.sprintf "%d vertices" limit)
+        (fun b -> Optimal.rbw_io ?budget:b g ~s)
+  | "belady", _ -> schedule Strategy.Belady
+  | "lru", _ -> schedule Strategy.Lru
+  | _ -> invalid_arg ("Bounds: unknown engine " ^ engine)
 
-let degraded_row g ~s ~engine ~kind ~failure ~elapsed =
-  let attempts = [ ("worker", failure) ] in
-  match kind with
-  | Lower | Exact ->
-      {
-        engine;
-        kind;
-        value = Some (io_floor g);
-        rung = "floor";
-        attempts;
-        elapsed;
-      }
-  | Upper ->
-      if s >= governed_max_indeg g + 1 then
-        {
-          engine;
-          kind;
-          value = Some (Strategy.trivial_io g);
-          rung = "trivial";
-          attempts;
-          elapsed;
-        }
-      else { engine; kind; value = None; rung = "-"; attempts; elapsed }
+let governed_row ?timeout ?node_budget ?samples g ~s engine =
+  row ?samples (Ladder { timeout; node_budget }) g ~s engine
+
+(* Every governed engine in-process, sharing one wavefront row. *)
+let rows ?samples mode g ~s =
+  let wavefront = lazy (row ?samples mode g ~s "wavefront") in
+  List.map (fun (name, _) -> row ?samples ~wavefront mode g ~s name) governed_engines
 
 let assemble_governed g ~s rows =
   let best_lb =
@@ -422,28 +392,6 @@ let assemble_governed g ~s rows =
     gov_best_lb = best_lb;
     gov_best_ub = best_ub;
   }
-
-let analyze_governed ?timeout ?node_budget ?(samples = 64) g ~s =
-  Dmc_obs.Span.with_
-    ~attrs:[ ("s", string_of_int s); ("n", string_of_int (Cdag.n_vertices g)) ]
-    "bounds.analyze_governed"
-  @@ fun () ->
-  (* The wavefront row runs first; its achieved value is reused as the
-     middle rung of every other lower-bound ladder. *)
-  let wavefront_row = governed_row ?timeout ?node_budget ~samples g ~s "wavefront" in
-  let wavefront_value =
-    match wavefront_row.value with Some v -> v | None -> io_floor g
-  in
-  let rows =
-    List.map
-      (fun (name, _) ->
-        if name = "wavefront" then wavefront_row
-        else
-          governed_row ?timeout ?node_budget ~samples ~wavefront:wavefront_value
-            g ~s name)
-      governed_engines
-  in
-  assemble_governed g ~s rows
 
 let kind_of_string = function
   | "lb" -> Some Lower
@@ -501,6 +449,91 @@ let row_of_json json =
         |> Option.map List.rev
   in
   Some { engine; kind; value; rung; attempts; elapsed }
+
+(* ------------------------------------------------------------------ *)
+(* Reading rows back: the report, the ladder table, lost workers       *)
+
+(* A report row's value: [None] when its rung was refused by size or
+   its worker was lost.  A report has no status column, so a lost
+   worker's stand-in (its ladder's terminal rung) must not be printed
+   under the engine's own label: the optional fields drop it, the
+   required ones fail.  Report rungs give up only by size; any other
+   failure — a Strategy error such as "S too small" — is the caller's,
+   raised with the engine's own message. *)
+let report_of_rows g ~s rows =
+  let value name =
+    let r = List.find (fun r -> r.engine = name) rows in
+    match List.assoc_opt "worker" r.attempts with
+    | Some e -> Error e
+    | None ->
+        List.iter
+          (fun (_, e) ->
+            match e with
+            | Too_large _ -> ()
+            | Invalid_input m | Internal m -> failwith m
+            | e -> failwith (Budget.failure_to_string e))
+          r.attempts;
+        Ok r.value
+  in
+  let optional name = match value name with Ok v -> v | Error _ -> None in
+  let known name =
+    match value name with
+    | Ok (Some v) -> v
+    | Ok None -> failwith (name ^ ": no value")
+    | Error e ->
+        failwith
+          (Printf.sprintf "%s: worker lost (%s)" name (Budget.failure_to_string e))
+  in
+  let floor = known "floor" and wavefront_lb = known "wavefront" in
+  let partition_lb = optional "partition-h"
+  and partition_u_lb = optional "partition-u"
+  and span_lb = optional "span" in
+  {
+    s;
+    n_vertices = Cdag.n_vertices g;
+    n_edges = Cdag.n_edges g;
+    io_floor = floor;
+    wavefront_lb;
+    partition_lb;
+    partition_u_lb;
+    span_lb;
+    best_lb =
+      List.fold_left max 0
+        (floor :: wavefront_lb
+        :: List.filter_map Fun.id [ partition_lb; partition_u_lb; span_lb ]);
+    belady_ub = known "belady";
+    lru_ub = known "lru";
+    trivial_ub = Strategy.trivial_io g;
+    optimal_io = optional "optimal";
+  }
+
+let analyze ?(optimal_limit = 0) g ~s =
+  report_of_rows g ~s (rows (Report { optimal_limit }) g ~s)
+
+let analyze_governed ?timeout ?node_budget ?samples g ~s =
+  Dmc_obs.Span.with_
+    ~attrs:[ ("s", string_of_int s); ("n", string_of_int (Cdag.n_vertices g)) ]
+    "bounds.analyze_governed"
+  @@ fun () ->
+  assemble_governed g ~s (rows ?samples (Ladder { timeout; node_budget }) g ~s)
+
+let of_verdict ~steps ~engine ~kind ~elapsed verdict =
+  (* A lost worker's row is its ladder's terminal rung, run here, with
+     the pool verdict recorded as the failed "worker" rung. *)
+  let lost failure =
+    let terminal = List.nth steps (List.length steps - 1) in
+    let r =
+      run_ladder (Ladder { timeout = None; node_budget = None }) ~engine ~kind
+        [ terminal ]
+    in
+    { r with attempts = [ ("worker", failure) ]; elapsed }
+  in
+  match verdict with
+  | Dmc_runtime.Pool.Done payload -> (
+      match row_of_json payload with
+      | Some r -> r
+      | None -> lost (Internal "worker returned an unparseable row"))
+  | v -> lost (Option.get (Dmc_runtime.Pool.verdict_failure v))
 
 let pp_governed ppf gr =
   let module T = Dmc_util.Table in

@@ -31,16 +31,12 @@ type report = {
 
 val io_floor : Cdag.t -> int
 
-val analyze :
-  ?exact_partition_limit:int ->
-  ?optimal_limit:int ->
-  Cdag.t ->
-  s:int ->
-  report
-(** Run every applicable engine.  [exact_partition_limit] (default 9)
-    caps the compute-vertex count for the exhaustive partition search;
-    [optimal_limit] (default 0, i.e. disabled) caps the vertex count
-    for the exhaustive optimal game. *)
+val analyze : ?optimal_limit:int -> Cdag.t -> s:int -> report
+(** The {!Report} plan run in-process and read back with
+    {!report_of_rows}.  [optimal_limit] (default 0, i.e. disabled) caps
+    the vertex count for the exhaustive optimal game (never above 20).
+    Raises [Failure] with the engine's message when an engine fails for
+    any reason other than size, e.g. S below a vertex's operand set. *)
 
 val pp_report : Format.formatter -> report -> unit
 
@@ -150,51 +146,103 @@ val row_status : row -> string
 val analyze_governed :
   ?timeout:float -> ?node_budget:int -> ?samples:int -> Cdag.t -> s:int ->
   governed
-(** Run every engine under its own fresh budget ([timeout] seconds
-    and/or [node_budget] ticks {e per ladder rung}) and degrade down a
-    fallback ladder instead of failing: exact engines fall back to the
-    wavefront row's achieved value and then to {!io_floor}; the
-    wavefront row itself falls back from the exact sweep to the
-    anytime sampler ([samples] draws, default 64); the eviction-policy
-    upper bounds fall back to the trivial schedule.  Never raises on
-    resource exhaustion — every failure is recorded in the row. *)
-
-(** {2 Per-engine rows}
-
-    The worker pool ({!Dmc_runtime.Pool}) runs each governed engine in
-    its own child process, so the ladder of a single engine must be
-    computable in isolation and its row must cross a process boundary
-    as JSON. *)
+(** The {!Ladder} plan run in-process: every engine under its own fresh
+    budget ([timeout] seconds and/or [node_budget] ticks {e per ladder
+    rung}), degrading down a fallback ladder instead of failing: exact
+    engines fall back to the wavefront row's achieved value and then to
+    {!io_floor}; the wavefront row itself falls back from the exact
+    sweep to the anytime sampler ([samples] draws, default 64); the
+    eviction-policy upper bounds fall back to the trivial schedule.
+    Never raises on resource exhaustion — every failure is recorded in
+    the row. *)
 
 val governed_engines : (string * kind) list
-(** Every engine {!analyze_governed} runs, in output order:
-    ["floor"], ["wavefront"], ["partition-h"], ["partition-u"],
-    ["span"], ["optimal"], ["belady"], ["lru"]. *)
+(** Every sequential engine, in output order: ["floor"],
+    ["wavefront"], ["partition-h"], ["partition-u"], ["span"],
+    ["optimal"], ["belady"], ["lru"]. *)
+
+(** {2 The bound pipeline}
+
+    A row is an engine's rung list (its {!plan}) run by the one ladder
+    runner ({!run_ladder}).  The plan depends on the {!mode} and the
+    graph's size alone, never on how the rows are executed: in-process
+    ({!analyze}, {!analyze_governed}) or one pool worker per row
+    ([dmc bounds]) give the same rows. *)
+
+type mode =
+  | Report of { optimal_limit : int }
+      (** no budget: one rung per engine and no fallbacks; an
+          exhaustive search runs only within its size gate
+          (partition-h at <= 9 compute vertices, partition-u at <= 22
+          compute and <= 62 vertices, span at <= 16 vertices, optimal at
+          <= [min optimal_limit 20] vertices) and is refused beyond it *)
+  | Ladder of { timeout : float option; node_budget : int option }
+      (** the fallback ladders, ungated, each non-terminal rung under a
+          fresh budget of [timeout] seconds and/or [node_budget] ticks *)
+
+type step =
+  | Rung of string * (Dmc_util.Budget.t option -> int)
+      (** a rung's name and its computation, given the rung's budget *)
+  | Refused of string * string
+      (** rung name and reason: recorded as a [Too_large] failure
+          without running, so it costs nothing *)
+
+val plan :
+  ?samples:int -> ?wavefront:row Lazy.t -> mode -> Cdag.t -> s:int ->
+  string -> step list
+(** A sequential engine's rungs under [mode], in attempt order, gated
+    by the graph's size alone.  [samples] (default 64) sizes the
+    wavefront sampler; [wavefront] is the run's wavefront row, whose
+    value is the middle rung of the other lower-bound ladders — when
+    omitted it is derived on first use (value-deterministic: the
+    sampler seed is fixed).  Raises [Invalid_argument] on a name not in
+    {!governed_engines}. *)
+
+val run_ladder : mode -> engine:string -> kind:kind -> step list -> row
+(** The one ladder runner, for both engine families: try each step in
+    order, each rung under a fresh budget from [mode] ({!Ladder} only;
+    the terminal ["floor"] and ["trivial"] rungs and the ["floor"]
+    engine run unbudgeted), until one succeeds.  Each rung is an
+    [engine/rung] span. *)
+
+val row :
+  ?samples:int -> ?wavefront:row Lazy.t -> mode -> Cdag.t -> s:int ->
+  string -> row
+(** One sequential engine's row: its {!plan} run by {!run_ladder}.
+    With [wavefront], the ["wavefront"] engine's row is that row. *)
 
 val governed_row :
-  ?timeout:float -> ?node_budget:int -> ?samples:int -> ?wavefront:int ->
-  Cdag.t -> s:int -> string -> row
-(** One engine's full fallback ladder.  [wavefront] is the
-    already-computed wavefront bound used as the middle rung of the
-    other lower-bound ladders; when omitted it is derived on demand
-    (value-deterministic: the sampler seed is fixed).  Raises
-    [Invalid_argument] on an engine name not in {!governed_engines}. *)
+  ?timeout:float -> ?node_budget:int -> ?samples:int -> Cdag.t -> s:int ->
+  string -> row
+(** [row] under the {!Ladder} plan. *)
 
-val degraded_row :
-  Cdag.t -> s:int -> engine:string -> kind:kind -> failure:failure ->
-  elapsed:float -> row
-(** The supervisor-side terminal rung for an engine whose whole worker
-    was lost (crashed, hard-killed, or protocol-broken): lower/exact
-    engines degrade to the O(n) I/O floor, upper engines to the
-    trivial schedule when [s] admits one.  [failure] is recorded as a
-    failed ["worker"] rung so the status column shows what forced the
-    fallback. *)
+val fits_trivial : Cdag.t -> s:int -> bool
+(** [S >= max in-degree + 1]: the trivial schedule's precondition. *)
 
 val assemble_governed : Cdag.t -> s:int -> row list -> governed
-(** Recompute the best-bound summary from independently produced rows
-    (same soundness rules as {!analyze_governed}: lower and exact rows
-    feed [gov_best_lb]; upper rows and non-degraded exact rows feed
-    [gov_best_ub]). *)
+(** The best-bound summary of independently produced rows (lower and
+    exact rows feed [gov_best_lb]; upper rows and non-degraded exact
+    rows feed [gov_best_ub]). *)
+
+val report_of_rows : Cdag.t -> s:int -> row list -> report
+(** Read {!Report}-plan rows (one per {!governed_engines} entry) back
+    into a {!report}: best = max of floor, wavefront, partition-h,
+    partition-u and span.  A rung refused by size, or a row whose
+    worker was lost (a failed ["worker"] rung, see {!of_verdict}),
+    leaves an optional value out; a lost floor, wavefront, belady or
+    lru row raises [Failure "<engine>: worker lost (<failure>)"], since
+    the report has no status column to show a stand-in value.  Any
+    other engine failure is raised as [Failure] with the engine's
+    message. *)
+
+val of_verdict :
+  steps:step list -> engine:string -> kind:kind -> elapsed:float ->
+  Dmc_runtime.Pool.verdict -> row
+(** A pool verdict read back as a row: the worker's own row, or — for a
+    worker lost to a crash, hard kill, cancellation or protocol break —
+    the last of [steps] (the engine's {!Ladder} plan, whose last rung is
+    its terminal ["floor"] or ["trivial"]) with the verdict recorded as
+    a failed ["worker"] rung and [elapsed] as the time. *)
 
 val row_to_json : row -> Dmc_util.Json.t
 val row_of_json : Dmc_util.Json.t -> row option

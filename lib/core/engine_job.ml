@@ -55,6 +55,24 @@ let of_json json =
       Ok { engine; graph; s; p; timeout; node_budget; samples }
   | _ -> Error "not a dmc-engine-job object"
 
+(* The one place that knows both engine families. *)
+let row ?samples ?wavefront ?(p = 1) mode g ~s engine =
+  if List.mem_assoc engine Bounds.governed_engines then
+    Bounds.row ?samples ?wavefront mode g ~s engine
+  else Mp_bounds.row ?samples mode g ~p ~s engine
+
+let of_verdict ?(p = 1) g ~s ~engine ~elapsed verdict =
+  let ladder = Bounds.Ladder { timeout = None; node_budget = None } in
+  let kind, steps =
+    match List.assoc_opt engine Bounds.governed_engines with
+    | Some kind -> (kind, Bounds.plan ladder g ~s engine)
+    | None -> (
+        match Mp_bounds.kind_of engine with
+        | Some kind -> (kind, Mp_bounds.plan g ~p ~s engine)
+        | None -> invalid_arg ("unknown engine: " ^ engine))
+  in
+  Bounds.of_verdict ~steps ~engine ~kind ~elapsed verdict
+
 let run job =
   let governed = List.mem_assoc job.engine Bounds.governed_engines in
   if not (governed || Mp_bounds.is_engine job.engine) then
@@ -65,13 +83,9 @@ let run job =
     match Dmc_cdag.Serialize.of_string job.graph with
     | Error msg -> Error (Dmc_util.Budget.Invalid_input ("bad graph: " ^ msg))
     | Ok g ->
-        let row =
-          if governed then
-            Bounds.governed_row ?timeout:job.timeout
-              ?node_budget:job.node_budget ~samples:job.samples g ~s:job.s
-              job.engine
-          else
-            Mp_bounds.row ?timeout:job.timeout ?node_budget:job.node_budget
-              ~samples:job.samples g ~p:job.p ~s:job.s job.engine
+        let mode =
+          Bounds.Ladder { timeout = job.timeout; node_budget = job.node_budget }
         in
-        Ok (Bounds.row_to_json row)
+        Ok
+          (Bounds.row_to_json
+             (row ~samples:job.samples ~p:job.p mode g ~s:job.s job.engine))

@@ -79,62 +79,10 @@ let span g =
 
 let g_cost = 1
 
-(* The same ladder discipline as {!Bounds.governed_row}: each rung
-   gets a fresh budget so a starved rung never starves its fallback,
-   and the first rung that succeeds wins the row. *)
-let row ?timeout ?node_budget ?(samples = 64) g ~p ~s engine =
+let plan ?(samples = 64) g ~p ~s engine =
   if p <= 0 then invalid_arg "Mp_bounds.row: p must be positive";
   if s <= 0 then invalid_arg "Mp_bounds.row: s must be positive";
-  let fresh_budget () =
-    match (timeout, node_budget) with
-    | None, None -> None
-    | _ -> Some (Budget.create ?deadline:timeout ?nodes:node_budget ())
-  in
   let floor = Bounds.io_floor g in
-  let kind =
-    match kind_of engine with
-    | Some k -> k
-    | None -> invalid_arg ("Mp_bounds.row: unknown engine " ^ engine)
-  in
-  let run_ladder rungs =
-    let t0 = Budget.now () in
-    let rec go attempts = function
-      | [] ->
-          {
-            Bounds.engine;
-            kind;
-            value = None;
-            rung = "-";
-            attempts = List.rev attempts;
-            elapsed = Budget.now () -. t0;
-          }
-      | (rung, f) :: rest -> (
-          (* Terminal rungs are O(n + e) and exist so a starved budget
-             still yields a sound value — they run outside it. *)
-          let budget =
-            if rung = "floor" || rung = "trivial" then None else fresh_budget ()
-          in
-          let outcome =
-            Dmc_obs.Span.with_
-              ~attrs:[ ("engine", engine); ("rung", rung) ]
-              (engine ^ "/" ^ rung)
-              (fun () -> Bounds.Engine.run ?budget (fun () -> f budget))
-          in
-          match outcome with
-          | Ok v ->
-              {
-                Bounds.engine;
-                kind;
-                value = Some v;
-                rung;
-                attempts = List.rev attempts;
-                elapsed = Budget.now () -. t0;
-              }
-          | Error e -> go ((rung, e) :: attempts) rest)
-    in
-    go [] rungs
-  in
-  let floor_rung = ("floor", fun _ -> floor) in
   (* IO_mp(p, S) >= IO_1(p * S): the pooled-memory simulation. *)
   let comm_lb_exact b =
     Parallel_bounds.mp_comm_from_sequential ~p
@@ -153,15 +101,9 @@ let row ?timeout ?node_budget ?(samples = 64) g ~p ~s engine =
       ~s
     |> max floor
   in
-  let max_indeg =
-    Cdag.fold_vertices g
-      (fun acc v ->
-        if Cdag.is_input g v then acc else max acc (Cdag.in_degree g v))
-      0
-  in
-  let work = Cdag.n_compute g in
   let time_lb ~comm_lb =
-    Parallel_bounds.mp_time_lower ~p ~g_cost ~work ~span:(span g) ~comm_lb
+    Parallel_bounds.mp_time_lower ~p ~g_cost ~work:(Cdag.n_compute g)
+      ~span:(span g) ~comm_lb
   in
   let replay_makespan moves =
     match Mp_game.run ~g_cost g ~p ~s moves with
@@ -170,91 +112,46 @@ let row ?timeout ?node_budget ?(samples = 64) g ~p ~s engine =
         Budget.internal_error ~where:"Mp_bounds"
           "schedule rejected at step %d: %s" e.Mp_game.step e.Mp_game.reason
   in
+  let trivial f =
+    if Bounds.fits_trivial g ~s then f ()
+    else failwith "Mp_bounds: S too small for the trivial schedule"
+  in
+  let rung name f = Bounds.Rung (name, f) in
   match engine with
   | "mp-comm-lb" ->
-      run_ladder
-        [ ("exact", comm_lb_exact); ("sampled", comm_lb_sampled); floor_rung ]
-  | "mp-comm-ub" ->
-      run_ladder
-        [
-          ( "belady",
-            fun b ->
-              Strategy.mp_io ?budget:b ~policy:Strategy.Belady g ~p ~s );
-          ( "trivial",
-            fun _ ->
-              if s >= max_indeg + 1 then Strategy.mp_trivial_io g
-              else failwith "Mp_bounds: S too small for the trivial schedule" );
-        ]
+      [ rung "exact" comm_lb_exact; rung "sampled" comm_lb_sampled;
+        rung "floor" (fun _ -> floor) ]
   | "mp-time-lb" ->
-      run_ladder
-        [
-          ("exact", fun b -> time_lb ~comm_lb:(comm_lb_exact b));
-          ("sampled", fun b -> time_lb ~comm_lb:(comm_lb_sampled b));
-          ("floor", fun _ -> time_lb ~comm_lb:floor);
-        ]
+      [
+        rung "exact" (fun b -> time_lb ~comm_lb:(comm_lb_exact b));
+        rung "sampled" (fun b -> time_lb ~comm_lb:(comm_lb_sampled b));
+        rung "floor" (fun _ -> time_lb ~comm_lb:floor);
+      ]
+  | "mp-comm-ub" ->
+      [
+        rung "belady" (fun b ->
+            Strategy.mp_io ?budget:b ~policy:Strategy.Belady g ~p ~s);
+        rung "trivial" (fun _ -> trivial (fun () -> Strategy.mp_trivial_io g));
+      ]
   | "mp-time-ub" ->
-      run_ladder
-        [
-          ( "belady",
-            fun b ->
-              replay_makespan
-                (Strategy.mp_schedule ?budget:b ~policy:Strategy.Belady g ~p ~s)
-          );
-          ( "trivial",
-            fun _ ->
-              if s >= max_indeg + 1 then
-                replay_makespan (Strategy.mp_trivial g ~p)
-              else failwith "Mp_bounds: S too small for the trivial schedule" );
-        ]
-  | "pc-io-lb" -> run_ladder [ floor_rung ]
+      [
+        rung "belady" (fun b ->
+            replay_makespan
+              (Strategy.mp_schedule ?budget:b ~policy:Strategy.Belady g ~p ~s));
+        rung "trivial" (fun _ ->
+            trivial (fun () -> replay_makespan (Strategy.mp_trivial g ~p)));
+      ]
+  | "pc-io-lb" -> [ rung "floor" (fun _ -> floor) ]
   | "pc-io-ub" ->
-      run_ladder
-        [
-          ( "belady",
-            fun b -> Strategy.pc_io ?budget:b ~policy:Strategy.Belady g ~s );
-          ( "trivial",
-            fun _ ->
-              if s >= 2 then Strategy.trivial_io g
-              else failwith "Mp_bounds: S too small for the pc schedule" );
-        ]
-  | _ -> assert false (* kind_of validated the name above *)
+      [
+        rung "belady" (fun b ->
+            Strategy.pc_io ?budget:b ~policy:Strategy.Belady g ~s);
+        rung "trivial" (fun _ ->
+            if s >= 2 then Strategy.trivial_io g
+            else failwith "Mp_bounds: S too small for the pc schedule");
+      ]
+  | _ -> invalid_arg ("Mp_bounds.row: unknown engine " ^ engine)
 
-(* Supervisor-side terminal rung for a lost worker, mirroring
-   {!Bounds.degraded_row}: lower engines fall to their floors, upper
-   engines to the trivial schedule when [s] admits one. *)
-let degraded_row g ~p ~s ~engine ~failure ~elapsed =
-  let kind =
-    match kind_of engine with
-    | Some k -> k
-    | None -> invalid_arg ("Mp_bounds.degraded_row: unknown engine " ^ engine)
-  in
-  let attempts = [ ("worker", failure) ] in
-  let mk value rung = { Bounds.engine; kind; value; rung; attempts; elapsed } in
-  let max_indeg =
-    Cdag.fold_vertices g
-      (fun acc v ->
-        if Cdag.is_input g v then acc else max acc (Cdag.in_degree g v))
-      0
-  in
-  let floor = Bounds.io_floor g in
-  match engine with
-  | "mp-comm-lb" | "pc-io-lb" -> mk (Some floor) "floor"
-  | "mp-time-lb" ->
-      mk
-        (Some
-           (Parallel_bounds.mp_time_lower ~p ~g_cost ~work:(Cdag.n_compute g)
-              ~span:(span g) ~comm_lb:floor))
-        "floor"
-  | "mp-comm-ub" ->
-      if s >= max_indeg + 1 then mk (Some (Strategy.mp_trivial_io g)) "trivial"
-      else mk None "-"
-  | "mp-time-ub" ->
-      if s >= max_indeg + 1 then
-        match Mp_game.run ~g_cost g ~p ~s (Strategy.mp_trivial g ~p) with
-        | Ok stats -> mk (Some stats.Mp_game.makespan) "trivial"
-        | Error _ -> mk None "-"
-      else mk None "-"
-  | "pc-io-ub" ->
-      if s >= 2 then mk (Some (Strategy.trivial_io g)) "trivial"
-      else mk None "-"
-  | _ -> assert false
+let row ?samples mode g ~p ~s engine =
+  let steps = plan ?samples g ~p ~s engine in
+  Bounds.run_ladder mode ~engine ~kind:(Option.get (kind_of engine)) steps

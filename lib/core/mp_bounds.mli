@@ -43,30 +43,20 @@ val span : Cdag.t -> int
 (** Critical-path length counting compute vertices — the
     parallelism-independent makespan floor used by [mp-time-lb]. *)
 
-val row :
-  ?timeout:float ->
-  ?node_budget:int ->
-  ?samples:int ->
-  Cdag.t ->
-  p:int ->
-  s:int ->
-  string ->
-  Bounds.row
-(** Run one engine at [(p, s)] under the governed ladder.  [timeout]
-    and [node_budget] bound each non-terminal rung with a fresh
-    {!Dmc_util.Budget.t}; [samples] (default 64) sizes the sampled
-    wavefront rung.  Raises [Invalid_argument] on an unknown engine
-    name or non-positive [p] / [s]. *)
+val plan :
+  ?samples:int -> Cdag.t -> p:int -> s:int -> string -> Bounds.step list
+(** An engine's rungs at [(p, s)], in attempt order — the same in every
+    {!Bounds.mode}: [exact], [sampled], [floor] for the lower bounds
+    with a search ([floor] alone for [pc-io-lb]), [belady] then
+    [trivial] for the upper bounds.  [samples] (default 64) sizes the
+    sampled wavefront rung.  Raises [Invalid_argument] on an unknown
+    engine name or non-positive [p] / [s]. *)
 
-val degraded_row :
-  Cdag.t ->
-  p:int ->
-  s:int ->
-  engine:string ->
-  failure:Dmc_util.Budget.failure ->
-  elapsed:float ->
+val row :
+  ?samples:int -> Bounds.mode -> Cdag.t -> p:int -> s:int -> string ->
   Bounds.row
-(** The supervisor-side terminal rung for a lost worker, mirroring
-    {!Bounds.degraded_row}: lower engines fall to their O(n) floors,
-    upper engines to the trivial schedule when [s] admits one, with
-    [failure] recorded as a failed ["worker"] rung. *)
+(** Run one engine at [(p, s)]: its {!plan} through
+    {!Bounds.run_ladder}, each non-terminal rung under a fresh
+    {!Dmc_util.Budget.t} from [mode] (none under {!Bounds.Report}).
+    Raises [Invalid_argument] on an unknown engine name or non-positive
+    [p] / [s]. *)

@@ -39,7 +39,8 @@ val supervised : ?hosts:Host.t list -> settings -> bool
 (** The backend rule: the supervised {!Pool} runs a batch when
     anything needs a supervisor — [jobs > 1], a job timeout, faults, an
     observed run, progress, a postmortem directory or explicit [hosts];
-    otherwise the jobs run in the caller. *)
+    otherwise the jobs run in the caller.  It chooses only where the
+    worker runs, never what a job computes. *)
 
 val batch :
   ?hosts:Host.t list ->

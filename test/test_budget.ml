@@ -227,6 +227,187 @@ let test_governed_status_strings () =
     (Bounds.row_status opt)
 
 (* ------------------------------------------------------------------ *)
+(* One bound pipeline: rung plans, and run control never changes rows  *)
+
+let test_report_plan_gates () =
+  let report = Bounds.Report { optimal_limit = 20 } in
+  let ladder = Bounds.Ladder { timeout = None; node_budget = None } in
+  let refused mode g e =
+    List.exists
+      (function Bounds.Refused _ -> true | Bounds.Rung _ -> false)
+      (Bounds.plan mode g ~s:8 e)
+  in
+  let big = Dmc_gen.Workload.parse_exn "fft:5" in
+  List.iter
+    (fun e -> check_bool (e ^ " refused by size on fft:5") true (refused report big e))
+    [ "partition-h"; "partition-u"; "span"; "optimal" ];
+  check_bool "report wavefront is one rung" true
+    (match Bounds.plan report big ~s:8 "wavefront" with
+    | [ Bounds.Rung ("auto", _) ] -> true
+    | _ -> false);
+  let tiny = Dmc_gen.Shapes.chain 5 in
+  List.iter
+    (fun (e, _) ->
+      check_bool (e ^ ": nothing refused on chain:5") false (refused report tiny e);
+      check_bool (e ^ ": the ladder has no gates") false (refused ladder big e))
+    Bounds.governed_engines;
+  check_bool "optimal only when asked" true
+    (refused (Bounds.Report { optimal_limit = 0 }) tiny "optimal")
+
+let dmc_exe =
+  Filename.concat
+    (Filename.concat (Filename.dirname Sys.executable_name) "../bin")
+    "dmc.exe"
+
+(* One small instance per registered family, with an S every schedule
+   accepts; a new family must add one here. *)
+let pipeline_specs =
+  [
+    ("chain:4", 4); ("tree:4", 4); ("diamond:2,3", 4); ("fft:1", 4);
+    ("bitonic:1", 4); ("pyramid:2", 4); ("binomial:2", 4); ("matmul:1", 4);
+    ("lu:2", 4); ("cholesky:2", 4); ("outer:2", 4); ("dot:3", 4);
+    ("composite:2", 4); ("jacobi1d:3,2", 4); ("jacobi2d:2,1", 8);
+    ("jacobi3d:2,1", 8); ("spmv:3,2", 8); ("thomas:3", 4);
+    ("multigrid:4,1,1", 8); ("cg:2,1,1", 8); ("gmres:2,1,1", 8);
+    ("daggen:1,8,50,40,1", 4); ("layered:1,2,2", 4);
+  ]
+
+let test_specs_cover_registry () =
+  let family (spec, _) = List.hd (String.split_on_char ':' spec) in
+  Alcotest.(check (list string))
+    "one spec per family"
+    (List.sort compare Dmc_gen.Workload.names)
+    (List.sort compare (List.map family pipeline_specs))
+
+(* Start [dmc bounds ARGS]; the returned thunk waits for it and gives
+   its stdout and exit code. *)
+let spawn_bounds args =
+  if not (Sys.file_exists dmc_exe) then
+    Alcotest.fail ("dmc binary missing: " ^ dmc_exe);
+  let cmd =
+    String.concat " " (List.map Filename.quote (dmc_exe :: "bounds" :: args))
+    ^ " 2>/dev/null"
+  in
+  let ic = Unix.open_process_in cmd in
+  fun () ->
+    let out = In_channel.input_all ic in
+    match Unix.close_process_in ic with
+    | Unix.WEXITED code -> (out, code)
+    | _ -> Alcotest.failf "%s died on a signal" cmd
+
+let find_sub s sub =
+  let n = String.length sub in
+  let rec go i =
+    if i + n > String.length s then None
+    else if String.sub s i n = sub then Some i
+    else go (i + 1)
+  in
+  go 0
+
+(* What may differ between runs: the profile appended after the answer,
+   and the wall-clock time column of the ladder table. *)
+let comparable out =
+  let answer =
+    match find_sub out "== profile" with
+    | Some i -> String.sub out 0 i
+    | None -> out
+  in
+  String.split_on_char '\n' answer
+  |> List.map (fun line ->
+         if String.length line > 0 && line.[0] = '|' then
+           String.sub line 0 (String.rindex_from line (String.length line - 2) '|')
+         else line)
+  |> String.concat "\n"
+
+let test_run_control_never_changes_rows () =
+  let trace = Filename.temp_file "dmc-pipeline" ".json" in
+  let variants =
+    [
+      [ "--jobs"; "3" ]; [ "--trace"; trace ]; [ "--progress" ]; [ "--profile" ];
+    ]
+  in
+  List.iter
+    (fun (spec, s) ->
+      List.iter
+        (fun mode ->
+          let base = [ "-g"; spec; "-S"; string_of_int s ] @ mode in
+          let runs =
+            List.map
+              (fun v -> (v, spawn_bounds (base @ v)))
+              ([ "--jobs"; "1" ] :: variants)
+          in
+          let results = List.map (fun (v, wait) -> (v, wait ())) runs in
+          let ref_out, ref_code = snd (List.hd results) in
+          let what v = String.concat " " (base @ v) in
+          check (what [] ^ ": exit") 0 ref_code;
+          List.iter
+            (fun (v, (out, code)) ->
+              check (what v ^ ": exit") ref_code code;
+              check_string (what v) (comparable ref_out) (comparable out))
+            (List.tl results))
+        [ []; [ "-p"; "2" ]; [ "--budget"; "20000" ] ])
+    pipeline_specs;
+  Sys.remove trace
+
+let test_mp_honours_run_control () =
+  let args =
+    [ "-g"; "fft:3"; "-S"; "8"; "-p"; "2"; "--jobs"; "2"; "--fault"; "abort:1";
+      "--retries"; "0" ]
+  in
+  let out, code = spawn_bounds args () in
+  check "exit" 0 code;
+  let mp_comm_lb =
+    List.find
+      (fun l -> String.length l > 12 && String.sub l 0 12 = "  mp-comm-lb")
+      (String.split_on_char '\n' out)
+  in
+  check_bool ("lost worker falls to the floor: " ^ mp_comm_lb) true
+    (find_sub mp_comm_lb "rung=floor" <> None
+    && find_sub mp_comm_lb "internal(fallback=floor)" <> None);
+  let json, code = spawn_bounds (args @ [ "--json" ]) () in
+  check "json exit" 0 code;
+  let failed =
+    match Json.parse json with
+    | Error e -> Alcotest.fail e
+    | Ok j -> (
+        let rows = Option.bind (Json.mem j "rows") Json.as_list in
+        match rows with
+        | Some (row :: _) ->
+            Option.bind (Json.mem row "failed_rungs") Json.as_list
+            |> Option.value ~default:[]
+            |> List.filter_map (fun f -> Option.bind (Json.mem f "rung") Json.as_string)
+        | _ -> [])
+  in
+  Alcotest.(check (list string)) "failed rung" [ "worker" ] failed
+
+(* A report has no status column, so a lost worker never lends its
+   terminal rung's value to the engine's label: an optional field
+   prints "-", a required one fails the run. *)
+let test_report_lost_worker () =
+  let plain, code = spawn_bounds [ "-g"; "tree:8"; "-S"; "3"; "--optimal" ] () in
+  check "plain exit" 0 code;
+  check_bool "plain run solves the optimum" true (find_sub plain "optimal: 15" <> None);
+  let lost args = spawn_bounds (args @ [ "--retries"; "0" ]) () in
+  let out, code =
+    lost [ "-g"; "tree:8"; "-S"; "3"; "--optimal"; "--jobs"; "2"; "--fault"; "abort:6" ]
+  in
+  check "optimal lost: exit" 0 code;
+  check_bool ("optimal lost prints no value: " ^ out) true
+    (find_sub out "optimal: -" <> None);
+  let other_rows out =
+    List.filter (fun l -> find_sub l "optimal:" = None) (String.split_on_char '\n' out)
+  in
+  Alcotest.(check (list string)) "optimal lost: the other rows" (other_rows plain)
+    (other_rows out);
+  let out, code = lost [ "-g"; "fft:5"; "-S"; "8"; "--jobs"; "2"; "--fault"; "abort:6" ] in
+  check "unrequested optimal lost: exit" 0 code;
+  let reference, _ = spawn_bounds [ "-g"; "fft:5"; "-S"; "8" ] () in
+  check_string "unrequested optimal lost: same report" reference out;
+  let out, code = lost [ "-g"; "fft:5"; "-S"; "8"; "--fault"; "abort:1" ] in
+  check "floor lost: exit" 1 code;
+  check_string "floor lost: no report" "" out
+
+(* ------------------------------------------------------------------ *)
 (* Checkpoint + RNG state plumbing                                     *)
 
 let test_rng_save_restore () =
@@ -362,6 +543,17 @@ let () =
           Alcotest.test_case "full run agrees" `Quick test_governed_full_agrees;
           Alcotest.test_case "fallback stays sound" `Quick test_governed_fallback_sound;
           Alcotest.test_case "status strings" `Quick test_governed_status_strings;
+        ] );
+      ( "pipeline",
+        [
+          Alcotest.test_case "report plan gates" `Quick test_report_plan_gates;
+          Alcotest.test_case "one spec per family" `Quick test_specs_cover_registry;
+          Alcotest.test_case "run control never changes rows" `Quick
+            test_run_control_never_changes_rows;
+          Alcotest.test_case "report drops a lost worker's row" `Quick
+            test_report_lost_worker;
+          Alcotest.test_case "-p honours run control" `Quick
+            test_mp_honours_run_control;
         ] );
       ( "checkpoint",
         [
