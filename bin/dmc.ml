@@ -779,96 +779,9 @@ let experiment_units selected =
         e.parts)
     selected
 
-let experiment_ckpt_version = 2
-
-let experiment_checkpoint ~selected ~done_rev =
-  let module J = Dmc_util.Json in
-  J.Obj
-    [
-      ("kind", J.String "dmc-experiment");
-      ("v", J.Int experiment_ckpt_version);
-      ( "names",
-        J.List
-          (List.map
-             (fun (e : Dmc_analysis.Experiment.t) -> J.String e.name)
-             selected) );
-      ( "parts",
-        J.List
-          (List.rev_map
-             (fun (exp, part, payload) ->
-               J.Obj
-                 [
-                   ("exp", J.String exp);
-                   ("part", J.String part);
-                   ("payload", payload);
-                 ])
-             done_rev) );
-    ]
-
-let experiment_restore path ~selected ~units =
-  let module J = Dmc_util.Json in
-  match Dmc_util.Checkpoint.load path with
-  | Error msg -> failwith (Printf.sprintf "cannot resume from %s: %s" path msg)
-  | Ok ckpt ->
-      (match Option.bind (J.mem ckpt "kind") J.as_string with
-      | Some "dmc-experiment" -> ()
-      | _ -> failwith (path ^ ": not a dmc-experiment checkpoint"));
-      (match Option.bind (J.mem ckpt "v") J.as_int with
-      | Some v when v = experiment_ckpt_version -> ()
-      | Some v ->
-          failwith
-            (Printf.sprintf
-               "%s: checkpoint schema v%d, this build reads v%d; regenerate \
-                with --checkpoint" path v experiment_ckpt_version)
-      | None ->
-          failwith
-            (path
-           ^ ": checkpoint predates the structured v2 schema (it stores \
-              captured stdout, not part payloads); regenerate with \
-              --checkpoint"));
-      let stored_names =
-        match Option.bind (J.mem ckpt "names") J.as_list with
-        | Some l -> List.filter_map J.as_string l
-        | None -> []
-      in
-      let sel_names =
-        List.map (fun (e : Dmc_analysis.Experiment.t) -> e.name) selected
-      in
-      if stored_names <> sel_names then
-        failwith
-          (Printf.sprintf
-             "%s: checkpoint is for experiments [%s], this run selects [%s]"
-             path
-             (String.concat " " stored_names)
-             (String.concat " " sel_names));
-      let completed =
-        match Option.bind (J.mem ckpt "parts") J.as_list with
-        | Some l ->
-            List.filter_map
-              (fun entry ->
-                match
-                  ( Option.bind (J.mem entry "exp") J.as_string,
-                    Option.bind (J.mem entry "part") J.as_string,
-                    J.mem entry "payload" )
-                with
-                | Some exp, Some part, Some payload -> Some (exp, part, payload)
-                | _ -> None)
-              l
-        | None -> []
-      in
-      (* The checkpoint must be a prefix of the unit list, in order. *)
-      let rec check_prefix done_ us =
-        match (done_, us) with
-        | [], _ -> ()
-        | (exp, part, _) :: dt, u :: ut when exp = u.u_exp && part = u.u_part ->
-            check_prefix dt ut
-        | (exp, part, _) :: _, _ ->
-            failwith
-              (Printf.sprintf "%s: completed part %s/%s out of order" path exp
-                 part)
-      in
-      check_prefix completed units;
-      completed
+(* The [--json] report's own schema version, independent of the
+   checkpoint's. *)
+let experiment_report_version = 2
 
 let experiment_cmd =
   let run names json md timeout checkpoint resume batch =
@@ -899,16 +812,8 @@ let experiment_cmd =
     let unit_arr = Array.of_list units in
     let total = List.length units in
     let ckpt_path = if checkpoint <> None then checkpoint else resume in
-    let completed =
-      match resume with
-      | None -> []
-      | Some path -> experiment_restore path ~selected ~units
-    in
-    if completed <> [] then
-      Format.eprintf "dmc: resuming, %d part(s) already done@."
-        (List.length completed);
     let deadline = Option.map (fun t -> Unix.gettimeofday () +. t) timeout in
-    let done_rev = ref [] in
+    let n_committed = ref 0 in
     let all_ok = ref true in
     let docs_rev = ref [] in
     (* Payloads of the experiment currently being filled, newest first.
@@ -937,33 +842,22 @@ let experiment_cmd =
               Format.eprintf "dmc: experiment %s: cannot assemble report: %s@."
                 name (Printexc.to_string exn))
     in
-    (* Commit one finished unit: accumulate its payload, render the
-       experiment once its last part lands, then checkpoint.  Resumed,
-       in-process and pooled units all funnel through here in unit
-       order, so stdout and the checkpoint are byte-identical whichever
-       backend — and however many workers — produced the payloads. *)
-    let commit_unit ?(write = true) u payload =
-      done_rev := (u.u_exp, u.u_part, payload) :: !done_rev;
+    (* Commit one finished unit: accumulate its payload and render the
+       experiment once its last part lands.  Replayed, in-process and
+       pooled units all funnel through here in unit order, so stdout is
+       byte-identical whichever backend — and however many workers —
+       produced the payloads.  A null payload is a part that produced
+       nothing: the run fails, replayed or not. *)
+    let commit_unit u payload =
+      incr n_committed;
+      if payload = Dmc_util.Json.Null then all_ok := false;
       pending_payloads := payload :: !pending_payloads;
-      if u.u_last then finalize_experiment u.u_exp;
-      if write then
-        Option.iter
-          (fun p ->
-            Dmc_util.Checkpoint.write p
-              (experiment_checkpoint ~selected ~done_rev:!done_rev))
-          ckpt_path
+      if u.u_last then finalize_experiment u.u_exp
     in
-    (* Replay checkpointed payloads through the same commit path, so a
-       resumed run renders completed experiments identically. *)
-    List.iteri
-      (fun i (_, _, payload) -> commit_unit ~write:false unit_arr.(i) payload)
-      completed;
-    let n_completed = List.length completed in
-    let remaining = List.filteri (fun i _ -> i >= n_completed) units in
     let finish ~stopped_early =
       let stopped why =
-        Format.eprintf "dmc: %s after %d/%d part(s)%s@." why
-          (List.length !done_rev) total
+        Format.eprintf "dmc: %s after %d/%d part(s)%s@." why !n_committed
+          total
           (Dmc_runtime.Run.resume_hint ckpt_path)
       in
       if Dmc_runtime.Run.interrupted () <> None then stopped "interrupted";
@@ -987,7 +881,7 @@ let experiment_cmd =
                (J.Obj
                   [
                     ("kind", J.String "dmc-experiment-report");
-                    ("v", J.Int experiment_ckpt_version);
+                    ("v", J.Int experiment_report_version);
                     ("ok", J.Bool !all_ok);
                     ("experiments", J.List (List.rev !docs_rev));
                   ]));
@@ -996,23 +890,20 @@ let experiment_cmd =
     in
     (* One job per part, committed in submission order.  The unit is
        shipped as data: the worker re-resolves the part by (experiment,
-       part) name through the registry, so the job it runs is exactly
-       the serializable Part_job record the checkpoint stores.  A worker
-       lost to a crash, hard kill or protocol break degrades to an
-       in-process rerun of the same part, so every unit still yields a
-       payload. *)
+       part) name through the registry.  A worker lost to a crash, hard
+       kill or protocol break degrades to an in-process rerun of the
+       same part, so every unit still yields a payload. *)
     let module Pool = Dmc_runtime.Pool in
-    let arr = Array.of_list remaining in
     let worker _ u =
       match Dmc_analysis.Part_job.run { exp = u.u_exp; part = u.u_part } with
       | Ok payload -> Ok payload
       | Error msg -> Error (Dmc_util.Budget.Invalid_input msg)
     in
     let on_result i outcome =
-      let u = arr.(i) in
+      let u = unit_arr.(i) in
       let payload =
         match outcome.Pool.verdict with
-        | Pool.Done payload -> Some payload
+        | Pool.Done payload -> payload
         | v when Pool.is_transient v -> (
             Format.eprintf
               "dmc: experiment %s part %s: worker %s; degrading to an \
@@ -1020,26 +911,37 @@ let experiment_cmd =
               u.u_exp u.u_part
               (Pool.verdict_to_string v);
             match u.u_run () with
-            | payload -> Some payload
+            | payload -> payload
             | exception exn ->
                 Format.eprintf
                   "dmc: experiment %s part %s: in-process fallback failed \
                    too: %s@."
                   u.u_exp u.u_part (Printexc.to_string exn);
-                None)
+                Dmc_util.Json.Null)
         | v ->
             Format.eprintf "dmc: experiment %s part %s: %s@." u.u_exp u.u_part
               (Pool.verdict_to_string v);
-            None
+            Dmc_util.Json.Null
       in
-      match payload with
-      | Some payload -> commit_unit u payload
-      | None ->
-          all_ok := false;
-          commit_unit u Dmc_util.Json.Null
+      commit_unit u payload;
+      payload
+    in
+    let checkpoint =
+      {
+        Dmc_runtime.Run.path = ckpt_path;
+        resume;
+        kind = "dmc-experiment";
+        signature =
+          Dmc_util.Json.List
+            (List.map
+               (fun (e : Dmc_analysis.Experiment.t) ->
+                 Dmc_util.Json.String e.name)
+               selected);
+      }
     in
     let outcomes =
-      Dmc_runtime.Run.batch ?deadline settings ~worker ~on_result remaining
+      Dmc_runtime.Run.batch ?deadline ~checkpoint settings ~worker ~on_result
+        units
     in
     finish
       ~stopped_early:
@@ -1429,46 +1331,16 @@ let sweep_cmd =
       List.map
         (fun r ->
           match Sweep.job grid r with
-          | Ok j -> (r, j)
+          | Ok j -> j
           | Error e -> failwith (Printf.sprintf "%s: %s" r.Sweep.workload e))
         rows
     in
     let ckpt_path = if checkpoint <> None then checkpoint else resume in
-    let completed =
-      match resume with
-      | None -> []
-      | Some path -> (
-          match Dmc_util.Checkpoint.load path with
-          | Error e -> failwith ("cannot resume: " ^ e)
-          | Ok json -> (
-              match Sweep.restore grid json with
-              | Ok payloads -> payloads
-              | Error e -> failwith ("cannot resume: " ^ e)))
-    in
-    if completed <> [] then
-      Format.eprintf "dmc sweep: resuming, %d/%d row(s) already committed@."
-        (List.length completed) total;
     let results = Array.make total None in
-    let committed_rev = ref [] in
-    let commit ?(write = true) gi payload =
-      results.(gi) <- Some payload;
-      committed_rev := payload :: !committed_rev;
-      if write then
-        Option.iter
-          (fun p ->
-            Dmc_util.Checkpoint.write p
-              (Sweep.checkpoint grid ~committed:(List.rev !committed_rev)))
-          ckpt_path
-    in
-    List.iteri (fun i payload -> commit ~write:false i payload) completed;
-    let n_completed = List.length completed in
-    let remaining =
-      List.filteri (fun i _ -> i >= n_completed) jobs_list
-    in
+    let n_committed = ref 0 in
     let row_arr = Array.of_list rows in
     let run_started = Unix.gettimeofday () in
-    let on_result i outcome =
-      let gi = n_completed + i in
+    let on_result gi outcome =
       let payload =
         match outcome.Pool.verdict with
         | Pool.Done payload -> payload
@@ -1485,18 +1357,27 @@ let sweep_cmd =
             | Ok p -> p
             | Error _ -> Dmc_util.Json.Null)
       in
-      commit gi payload
+      results.(gi) <- Some payload;
+      incr n_committed;
+      payload
+    in
+    let checkpoint =
+      {
+        Dmc_runtime.Run.path = ckpt_path;
+        resume;
+        kind = "dmc-sweep";
+        signature = Sweep.signature grid;
+      }
     in
     let _ : Pool.outcome array =
       Dmc_runtime.Run.batch ~hosts
-        ~encode:(fun (_, j) -> Dmc_core.Engine_job.to_json j)
-        settings
-        ~worker:(fun _ (_, j) -> Dmc_core.Engine_job.run j)
-        ~on_result remaining
+        ~encode:Dmc_core.Engine_job.to_json ~checkpoint settings
+        ~worker:(fun _ j -> Dmc_core.Engine_job.run j)
+        ~on_result jobs_list
     in
     if Dmc_runtime.Run.interrupted () <> None then
       Format.eprintf "dmc sweep: interrupted after %d/%d row(s)%s@."
-        (List.length !committed_rev) total
+        !n_committed total
         (Dmc_runtime.Run.resume_hint ckpt_path);
     exit_if_interrupted batch;
     let doc = Sweep.doc grid ~results:(Array.to_list results) in

@@ -18,9 +18,11 @@
      dune exec bin/fuzz.exe -- [cases] [seed]
          [--timeout SECS] [--checkpoint FILE] [--resume FILE] [--no-checkpoint]
 
-   The master RNG state and case counter are checkpointed after every
-   case (default file: dmc-fuzz.ckpt.json, atomically replaced), so a
-   killed run continues exactly where it stopped with --resume.  Every
+   Case seeds are drawn from [seed] up front, and every case's result
+   is checkpointed as it commits (default file: dmc-fuzz.ckpt.json,
+   atomically replaced).  A killed run resumes with the same cases and
+   seed plus --resume FILE: the committed cases are replayed, so the
+   resumed run prints exactly what an uninterrupted one prints.  Every
    violation additionally persists a reproducer file
    (dmc-fuzz-repro-caseN.json) recording the family, seeds, S and the
    failed check.  --timeout stops cleanly between cases (exit 0),
@@ -184,22 +186,6 @@ let die msg =
   prerr_endline usage;
   exit 2
 
-(* [rng] is the saved master state *after* the last committed case's
-   seed draw — the parallel supervisor snapshots it at dispatch time,
-   so a checkpoint written while later cases are in flight still
-   resumes the exact stream. *)
-let fuzz_checkpoint ~cases ~seed ~next_case ~rng ~total_vertices ~failures =
-  J.Obj
-    [
-      ("kind", J.String "dmc-fuzz");
-      ("cases", J.Int cases);
-      ("seed", J.Int seed);
-      ("next_case", J.Int next_case);
-      ("rng", J.String rng);
-      ("total_vertices", J.Int total_vertices);
-      ("failures", J.Int failures);
-    ]
-
 let write_repro ~case ~seed ~case_seed ~family ~s ~n ~check msg =
   let path = Printf.sprintf "dmc-fuzz-repro-case%d.json" case in
   Dmc_util.Checkpoint.write path
@@ -219,7 +205,7 @@ let write_repro ~case ~seed ~case_seed ~family ~s ~n ~check msg =
 
 let () =
   let timeout = ref None in
-  let ckpt_path = ref (Some "dmc-fuzz.ckpt.json") in
+  let ckpt_path = ref `Default in
   let resume = ref None in
   let jobs = ref 1 in
   let job_timeout = ref None in
@@ -237,10 +223,10 @@ let () =
         | None -> die ("bad --timeout value: " ^ v));
         parse rest
     | "--checkpoint" :: v :: rest ->
-        ckpt_path := Some v;
+        ckpt_path := `Path v;
         parse rest
     | "--no-checkpoint" :: rest ->
-        ckpt_path := None;
+        ckpt_path := `Off;
         parse rest
     | "--resume" :: v :: rest ->
         resume := Some v;
@@ -303,76 +289,34 @@ let () =
     | [ c; s ] -> (pos_int "case count" c, pos_int "seed" s)
     | _ -> die "too many positional arguments"
   in
-  (* Resume restores the case counter, totals and the exact master RNG
-     stream, so the continued run visits the same remaining cases an
-     uninterrupted run would have. *)
-  let cases, seed, start_case, master, tv0, f0 =
-    match !resume with
-    | None -> (cases, seed, 1, Rng.create seed, 0, 0)
-    | Some path -> (
-        (match !ckpt_path with
-        | Some "dmc-fuzz.ckpt.json" -> ckpt_path := Some path
-        | _ -> ());
-        match Dmc_util.Checkpoint.load path with
-        | Error msg -> die (Printf.sprintf "cannot resume from %s: %s" path msg)
-        | Ok ckpt ->
-            let get field conv =
-              match Option.bind (J.mem ckpt field) conv with
-              | Some v -> v
-              | None ->
-                  die (Printf.sprintf "%s: missing or bad field %S" path field)
-            in
-            (match Option.bind (J.mem ckpt "kind") J.as_string with
-            | Some "dmc-fuzz" -> ()
-            | _ -> die (path ^ ": not a dmc-fuzz checkpoint"));
-            let master =
-              match Rng.restore (get "rng" J.as_string) with
-              | Some g -> g
-              | None -> die (path ^ ": corrupt RNG state")
-            in
-            ( get "cases" J.as_int,
-              get "seed" J.as_int,
-              get "next_case" J.as_int,
-              master,
-              get "total_vertices" J.as_int,
-              get "failures" J.as_int ))
+  (* Without --checkpoint, a resumed run keeps checkpointing to the
+     file it resumed from. *)
+  let ckpt_path =
+    match (!ckpt_path, !resume) with
+    | `Path p, _ -> Some p
+    | `Off, _ -> None
+    | `Default, Some p -> Some p
+    | `Default, None -> Some "dmc-fuzz.ckpt.json"
   in
-  if start_case > 1 then
-    Printf.eprintf "fuzz: resuming at case %d/%d\n%!" start_case cases;
   (* The first SIGINT/SIGTERM stops dispatching, reaps any workers,
      keeps the last checkpoint and exits with a distinct code; a second
      one exits immediately. *)
   Dmc_runtime.Run.install_interrupt_handlers ();
   let deadline = Option.map (fun t -> Unix.gettimeofday () +. t) !timeout in
-  let total_vertices = ref tv0 in
-  let failures = ref f0 in
+  let total_vertices = ref 0 in
+  let failures = ref 0 in
   let record ~case ~case_seed ~family ~s ~n check msg =
     incr failures;
     let repro = write_repro ~case ~seed ~case_seed ~family ~s ~n ~check msg in
     Printf.printf "VIOLATION in case %d (seed %d): %s [reproducer: %s]\n%!"
       case case_seed msg repro
   in
-  let checkpoint_after ~next_case ~rng =
-    Option.iter
-      (fun path ->
-        Dmc_util.Checkpoint.write path
-          (fuzz_checkpoint ~cases ~seed ~next_case ~rng
-             ~total_vertices:!total_vertices ~failures:!failures))
-      !ckpt_path
-  in
-  (* One job per case, committed in case order.  Case seeds are drawn
-     from the master stream up front, with the post-draw state
-     snapshotted per case so every checkpoint resumes the exact
-     stream. *)
+  (* One job per case, committed in case order.  The case seeds are a
+     pure function of [seed], so a resumed run re-derives them. *)
   let module Pool = Dmc_runtime.Pool in
-  let n_remaining = max 0 (cases - start_case + 1) in
-  let seeds =
-    Array.init n_remaining (fun _ ->
-        let case_seed = Rng.next master in
-        (case_seed, Rng.save master))
-  in
-  let worker _ k =
-    let case_seed, _ = seeds.(k) in
+  let master = Rng.create seed in
+  let case_seeds = Array.init (max 0 cases) (fun _ -> Rng.next master) in
+  let worker _ case_seed =
     match run_case ~case_seed with
     | Ok n -> Ok (J.Obj [ ("n", J.Int n) ])
     | Error (check, msg, family, s, n) ->
@@ -386,42 +330,55 @@ let () =
                ("n", J.opt (fun v -> J.Int v) n);
              ])
   in
+  (* A case's payload is all its commit needs, so the replay of a
+     committed case prints and counts it again. *)
   let on_result k outcome =
-    let case = start_case + k in
-    let case_seed, rng = seeds.(k) in
-    (match outcome.Pool.verdict with
-    | Pool.Done payload -> (
-        let field f conv = Option.bind (J.mem payload f) conv in
-        match field "check" J.as_string with
-        | Some check ->
-            let str f = Option.value ~default:"?" (field f J.as_string) in
-            record ~case ~case_seed ~family:(str "family")
-              ~s:(field "s" J.as_int) ~n:(field "n" J.as_int) check
-              (str "msg")
-        | None -> (
-            match field "n" J.as_int with
-            | Some n -> total_vertices := !total_vertices + n
-            | None ->
-                record ~case ~case_seed ~family:"?" ~s:None ~n:None
-                  "worker-protocol" "result frame lacks n"))
-    | v ->
-        (* A lost worker persisted nothing, so the coordinator emits
-           the reproducer: case index + seeds are enough to replay the
-           case deterministically. *)
-        record ~case ~case_seed ~family:"?" ~s:None ~n:None "worker"
-          (Pool.verdict_to_string v));
-    checkpoint_after ~next_case:(case + 1) ~rng
+    let payload =
+      match outcome.Pool.verdict with
+      | Pool.Done payload -> payload
+      | v ->
+          (* A lost worker persisted nothing, so the coordinator
+             records it: case index + seeds are enough to replay the
+             case deterministically. *)
+          J.Obj
+            [
+              ("check", J.String "worker");
+              ("msg", J.String (Pool.verdict_to_string v));
+            ]
+    in
+    let field f conv = Option.bind (J.mem payload f) conv in
+    let str f = Option.value ~default:"?" (field f J.as_string) in
+    let record = record ~case:(k + 1) ~case_seed:case_seeds.(k) in
+    (match (field "check" J.as_string, field "n" J.as_int) with
+    | Some check, _ ->
+        record ~family:(str "family") ~s:(field "s" J.as_int)
+          ~n:(field "n" J.as_int) check (str "msg")
+    | None, Some n -> total_vertices := !total_vertices + n
+    | None, None ->
+        record ~family:"?" ~s:None ~n:None "worker-protocol"
+          "result frame lacks n");
+    payload
+  in
+  let checkpoint =
+    {
+      Dmc_runtime.Run.path = ckpt_path;
+      resume = !resume;
+      kind = "dmc-fuzz";
+      signature = J.Obj [ ("cases", J.Int cases); ("seed", J.Int seed) ];
+    }
   in
   let cancelled =
     Dmc_runtime.Run.cancelled
-      (Dmc_runtime.Run.batch ?deadline settings ~worker ~on_result
-         (List.init n_remaining Fun.id))
+      (try
+         Dmc_runtime.Run.batch ?deadline ~checkpoint settings ~worker
+           ~on_result (Array.to_list case_seeds)
+       with Failure msg -> die msg)
   in
   (match !trace with
   | Some path -> Dmc_obs.Export.write_chrome_trace path
   | None -> ());
   if !profile then print_string (Dmc_obs.Export.profile ());
-  let hint = Dmc_runtime.Run.resume_hint !ckpt_path in
+  let hint = Dmc_runtime.Run.resume_hint ckpt_path in
   (match Dmc_runtime.Run.interrupted () with
   | Some _ ->
       Printf.printf "fuzz: interrupted after %d/%d cases%s\n" (cases - cancelled)

@@ -236,14 +236,7 @@ let parse_int_list s =
   if s = "" then Error "empty integer list" else go [] items
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint                                                          *)
-
-let kind_tag = "dmc-sweep"
-
-(* v2 added the processor axis ("ps" in the grid signature, a "p"
-   column in rows); v1 checkpoints are refused with a version message
-   rather than a confusing grid mismatch. *)
-let version = 2
+(* Signature                                                           *)
 
 let signature t =
   let ints ns = J.List (List.map (fun i -> J.Int i) ns) in
@@ -260,35 +253,6 @@ let signature t =
       ( "node_budget",
         match t.budget with None -> J.Null | Some i -> J.Int i );
     ]
-
-let checkpoint t ~committed =
-  J.Obj
-    [
-      ("kind", J.String kind_tag);
-      ("v", J.Int version);
-      ("grid", signature t);
-      ("rows", J.List committed);
-    ]
-
-let restore t json =
-  let str f = Option.bind (J.mem json f) J.as_string in
-  match (str "kind", Option.bind (J.mem json "v") J.as_int) with
-  | Some k, _ when k <> kind_tag ->
-      Error (Printf.sprintf "checkpoint is %S, not a %s" k kind_tag)
-  | _, Some v when v <> version ->
-      Error (Printf.sprintf "checkpoint v%d, this build speaks v%d" v version)
-  | Some _, Some _ -> (
-      match (J.mem json "grid", Option.bind (J.mem json "rows") J.as_list) with
-      | Some grid, Some payloads ->
-          if grid <> signature t then
-            Error
-              "checkpoint was written by a different grid (specs, axes, \
-               engines or budgets differ); refusing to resume"
-          else if List.length payloads > List.length t.grid_rows then
-            Error "checkpoint has more committed rows than the grid expands to"
-          else Ok payloads
-      | _ -> Error "checkpoint has no grid/rows fields")
-  | _ -> Error ("not a " ^ kind_tag ^ " checkpoint")
 
 (* ------------------------------------------------------------------ *)
 (* Host health timeline                                                *)

@@ -6,7 +6,7 @@
     row is one governed bound computation ({!Dmc_core.Engine_job}).  The [dmc
     sweep] driver shards these rows across a host fleet; this module
     owns everything that must {e not} depend on the fleet — the grid
-    algebra, the expansion order, the checkpoint format and the merged
+    algebra, the expansion order, the grid signature and the merged
     report — so the same grid produces byte-identical reports whatever
     ran it.
 
@@ -74,18 +74,9 @@ val parse_int_list : string -> (int list, string) result
 
 val signature : t -> Dmc_util.Json.t
 (** Canonical JSON of the grid parameters (not the expansion).  Two
-    grids with equal signatures expand to equal row lists; the
-    checkpoint embeds it so a resume against a different grid is
+    grids with equal signatures expand to equal row lists; [dmc sweep]
+    hands it to its checkpoint, so a resume against a different grid is
     refused instead of silently mis-aligning committed rows. *)
-
-val checkpoint : t -> committed:Dmc_util.Json.t list -> Dmc_util.Json.t
-(** The atomic-resume snapshot: grid signature plus the committed row
-    payloads in commit (= submission) order. *)
-
-val restore : t -> Dmc_util.Json.t -> (Dmc_util.Json.t list, string) result
-(** Validate a {!checkpoint} against this grid and return the
-    committed payload prefix.  [Error] on a foreign kind/version, a
-    signature mismatch, or more payloads than the grid has rows. *)
 
 type host_stat = {
   h_name : string;

@@ -101,24 +101,8 @@ module Engine = struct
   let rb_io ?budget ?max_states g ~s =
     run ?budget (fun () -> Optimal.rb_io ?budget ?max_states g ~s)
 
-  let min_balanced_horizontal ?budget ?slack g ~procs =
-    run ?budget (fun () ->
-        Optimal.min_balanced_horizontal ?budget ?slack g ~procs)
-
-  let span_lb ?budget ?max_nodes g ~s =
-    run ?budget (fun () -> Span.lower_bound ?budget ?max_nodes g ~s)
-
   let partition_lb ?budget ?max_nodes g ~s =
     run ?budget (fun () -> Spartition.lower_bound_exact ?budget ?max_nodes g ~s)
-
-  let partition_u_lb ?budget g ~s =
-    run ?budget (fun () -> Spartition.lower_bound_u ?budget g ~s)
-
-  let wavefront_lb ?budget ?samples ?rng g ~s =
-    run ?budget (fun () -> Wavefront.lower_bound ?budget ?samples ?rng g ~s)
-
-  let strategy_io ?budget ?policy ?order g ~s =
-    run ?budget (fun () -> Strategy.io ?budget ?policy ?order g ~s)
 end
 
 type kind = Lower | Upper | Exact

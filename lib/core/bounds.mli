@@ -46,9 +46,10 @@ val report_to_json : report -> Dmc_util.Json.t
 (** {1 Result-typed engines and governed analysis}
 
     The raising entry points above stay for small-graph callers; the
-    governed layer wraps every engine in a
-    {!Dmc_util.Budget.t}-governed, result-typed API and degrades
-    gracefully down a fallback ladder instead of failing. *)
+    governed layer runs every engine under a {!Dmc_util.Budget.t}
+    through {!Engine.run} and degrades gracefully down a fallback
+    ladder instead of failing.  {!Engine} also names the result-typed
+    searches that callers outside the ladder use directly. *)
 
 type failure = Dmc_util.Budget.failure =
   | Timeout
@@ -80,28 +81,9 @@ module Engine : sig
     ?budget:Dmc_util.Budget.t -> ?max_states:int -> Cdag.t -> s:int ->
     int outcome
 
-  val min_balanced_horizontal :
-    ?budget:Dmc_util.Budget.t -> ?slack:int -> Cdag.t -> procs:int ->
-    (int * int array) outcome
-
-  val span_lb :
-    ?budget:Dmc_util.Budget.t -> ?max_nodes:int -> Cdag.t -> s:int ->
-    int outcome
-
   val partition_lb :
     ?budget:Dmc_util.Budget.t -> ?max_nodes:int -> Cdag.t -> s:int ->
     int outcome
-
-  val partition_u_lb :
-    ?budget:Dmc_util.Budget.t -> Cdag.t -> s:int -> int outcome
-
-  val wavefront_lb :
-    ?budget:Dmc_util.Budget.t -> ?samples:int -> ?rng:Dmc_util.Rng.t ->
-    Cdag.t -> s:int -> int outcome
-
-  val strategy_io :
-    ?budget:Dmc_util.Budget.t -> ?policy:Strategy.policy ->
-    ?order:Cdag.vertex array -> Cdag.t -> s:int -> int outcome
 end
 
 type kind = Lower | Upper | Exact

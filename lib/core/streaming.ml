@@ -43,10 +43,11 @@ let wavefront_sum ?samples ?(window = default_window) ?(settings = Run.default)
   in
   let on_result w (o : Pool.outcome) =
     match o.Pool.verdict with
-    | Pool.Done (Json.Int b) ->
+    | Pool.Done (Json.Int b as payload) ->
         bounds.(w) <- b;
-        incr bounded
-    | _ -> ()
+        incr bounded;
+        payload
+    | _ -> Json.Null
   in
   let _ : Pool.outcome array =
     Run.batch ?deadline settings ~worker ~on_result (List.init n_windows Fun.id)

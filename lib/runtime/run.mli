@@ -5,8 +5,9 @@
     hook.  This module owns the rest: the interrupt flag and its exit
     code, the {!Pool.config} built from the run-control flags, the stop
     and drain hooks, the [Cancelled] accounting, the progress line, the
-    resume hint, and the one rule ({!supervised}) that decides whether
-    a batch needs the supervised pool at all. *)
+    committed-prefix checkpoint with its resume and resume hint, and
+    the one rule ({!supervised}) that decides whether a batch needs the
+    supervised pool at all. *)
 
 val install_interrupt_handlers : unit -> unit
 (** The first SIGINT/SIGTERM sets the flag {!batch} polls as its stop
@@ -42,19 +43,45 @@ val supervised : ?hosts:Host.t list -> settings -> bool
     otherwise the jobs run in the caller.  It chooses only where the
     worker runs, never what a job computes. *)
 
+type checkpoint = {
+  path : string option;
+      (** where every commit is written: [--checkpoint], else the
+          [--resume] path *)
+  resume : string option;  (** [--resume]: the checkpoint to continue *)
+  kind : string;  (** the driver's tag, e.g. ["dmc-sweep"] *)
+  signature : Dmc_util.Json.t;
+      (** what fixes the job list: a resume must present the same *)
+}
+(** The committed-prefix checkpoint of a batch.  After every commit
+    the file at [path] is atomically replaced by
+    [{kind, v, signature, committed: [payload, ...]}], the payloads in
+    commit (= submission) order. *)
+
 val batch :
   ?hosts:Host.t list ->
   ?encode:('a -> Dmc_util.Json.t) ->
   ?deadline:float ->
+  ?checkpoint:checkpoint ->
   settings ->
   worker:(int -> 'a -> (Dmc_util.Json.t, Dmc_util.Budget.failure) result) ->
-  ?on_result:(int -> Pool.outcome -> unit) ->
+  ?on_result:(int -> Pool.outcome -> Dmc_util.Json.t) ->
   'a list ->
   Pool.outcome array
 (** One outcome per job, committed through [on_result] in submission
-    order.  Supervised, this is {!Pool.run} ([hosts]/[encode] as
-    there).  In the caller, each job gets one attempt, its exceptions
-    mapped by {!Transport.guard} and its payload passed on unencoded.
+    order; [on_result] returns the payload it committed (by default
+    the [Done] payload, else [Null]).  Supervised, this is {!Pool.run}
+    ([hosts]/[encode] as there).  In the caller, each job gets one
+    attempt, its exceptions mapped by {!Transport.guard} and its
+    payload passed on unencoded.
+
+    With a [checkpoint], each committed payload is appended to the
+    file.  On [resume], the stored checkpoint must carry the same
+    [kind], schema version and [signature], and at most one
+    payload per job; otherwise [Failure] ["cannot resume from P: ..."]
+    is raised before anything runs.  Its payloads are replayed through
+    [on_result] as [Done] outcomes with zero attempts, and only the
+    remaining jobs are dispatched.  [worker], [on_result] and a
+    fault's job number always count in the whole list.
 
     Both backends stop alike: once {!interrupted} is set, or once the
     absolute drain [deadline] has passed, no new job starts and every

@@ -44,12 +44,3 @@ let shuffle g a =
 let pick g a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
   a.(int g (Array.length a))
-
-let save g = Printf.sprintf "%016Lx" g.state
-
-let restore token =
-  if String.length token <> 16 then None
-  else
-    match Int64.of_string_opt ("0x" ^ token) with
-    | Some state -> Some { state }
-    | None -> None

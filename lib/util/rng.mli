@@ -29,12 +29,3 @@ val shuffle : t -> 'a array -> unit
 
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val save : t -> string
-(** The full internal state as a hex token, for checkpoint files.
-    [restore (save g)] continues the exact stream [g] would have
-    produced. *)
-
-val restore : string -> t option
-(** Rebuild a generator from {!save}'s token; [None] on a malformed
-    token. *)

@@ -275,7 +275,11 @@ let test_order_determinism () =
   let par, par_out = commit_trace (pool { Pool.default with jobs = 4 }) in
   let inp, inp_out =
     commit_trace (fun ~on_result ->
-        Run.batch Run.default ~worker:staggered_worker ~on_result jobs)
+        Run.batch Run.default ~worker:staggered_worker
+          ~on_result:(fun i o ->
+            on_result i o;
+            Json.Null)
+          jobs)
   in
   check_bool "commit order is submission order" true
     (List.map fst par = [ 0; 1; 2; 3; 4; 5; 6; 7 ]);
@@ -342,7 +346,9 @@ let test_stop_accounting () =
       ~worker:(fun i _ ->
         Unix.sleepf 0.1;
         Ok (Json.Int i))
-      ~on_result:(fun _ _ -> incr commits)
+      ~on_result:(fun _ _ ->
+        incr commits;
+        Json.Null)
       [ 0; 1; 2; 3; 4; 5 ]
   in
   check "in-process drain: non-cancelled = committed" !commits
@@ -364,11 +370,15 @@ let test_stop_accounting () =
               ignore
                 (Run.batch Run.default
                    ~worker:(fun j _ -> Ok (Json.Int j))
-                   ~on_result:(fun _ _ -> incr inner)
+                   ~on_result:(fun _ _ ->
+                     incr inner;
+                     Json.Null)
                    [ 0; 1; 2 ])
             end;
             Ok (Json.Int i))
-          ~on_result:(fun _ _ -> incr commits)
+          ~on_result:(fun _ _ ->
+            incr commits;
+            Json.Null)
           [ 0; 1; 2; 3; 4; 5 ]
       in
       let code =
@@ -400,6 +410,192 @@ let test_backend_choice () =
   check_bool "jobs=1 runs in the caller" true (pid_of Run.default = me);
   check_bool "a job timeout is supervised" true (Run.supervised timed);
   check_bool "a job timeout runs in a child" true (pid_of timed <> me)
+
+(* ------------------------------------------------------------------ *)
+(* Committed-prefix checkpoint                                         *)
+
+module Checkpoint = Dmc_util.Checkpoint
+
+let ckpt_jobs = List.init 6 (fun i -> i + 1)
+let in_process = Run.default
+let pooled = { Run.default with jobs = 3 }
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Run the squaring batch, checkpointing to [path]; returns the commit
+   trace and the outcomes. *)
+let run_checkpointed ?resume ?(kind = "test") ?(signature = Json.String "sig")
+    settings path =
+  let trace = ref [] in
+  let checkpoint = { Run.path = Some path; resume; kind; signature } in
+  let outcomes =
+    Run.batch ~checkpoint settings
+      ~worker:(fun _ n -> Ok (Json.Int (n * n)))
+      ~on_result:(fun i o ->
+        let payload =
+          match o.Pool.verdict with
+          | Pool.Done p -> p
+          | v -> Json.String (Pool.verdict_to_string v)
+        in
+        trace := (i, Json.to_string payload) :: !trace;
+        payload)
+      ckpt_jobs
+  in
+  (List.rev !trace, outcomes)
+
+(* [json] with its field [name] mapped through [f]. *)
+let with_field name f json =
+  match json with
+  | Json.Obj fields ->
+      Json.Obj
+        (List.map (fun (k, v) -> if k = name then (k, f v) else (k, v)) fields)
+  | _ -> Alcotest.fail "checkpoint is not an object"
+
+let committed_prefix k =
+  with_field "committed" (function
+    | Json.List l -> Json.List (List.filteri (fun i _ -> i < k) l)
+    | _ -> Alcotest.fail "no committed list")
+
+(* A full run's checkpoint cut to k payloads resumes to the same commit
+   sequence and the same final checkpoint, dispatching only the rest. *)
+let test_checkpoint_resume settings () =
+  let full = Filename.temp_file "dmc-run-full" ".json" in
+  Sys.remove full;
+  let reference, _ = run_checkpointed settings full in
+  let full_bytes = read_file full in
+  let stored = Result.get_ok (Checkpoint.load full) in
+  List.iter
+    (fun k ->
+      let cut = Filename.temp_file "dmc-run-cut" ".json" in
+      Checkpoint.write cut (committed_prefix k stored);
+      let trace, outcomes = run_checkpointed ~resume:cut settings cut in
+      let label what = Printf.sprintf "k=%d: %s" k what in
+      check_bool (label "same commit sequence") true (trace = reference);
+      check_string (label "same final checkpoint") full_bytes (read_file cut);
+      check (label "one outcome per job") 6 (Array.length outcomes);
+      Array.iteri
+        (fun i o ->
+          check_bool
+            (label (Printf.sprintf "job %d dispatched iff past the prefix" i))
+            (i >= k) (o.Pool.attempts > 0))
+        outcomes;
+      Sys.remove cut)
+    [ 0; 1; 3; 6 ];
+  Sys.remove full
+
+(* Each foreign checkpoint is refused before anything runs. *)
+let test_checkpoint_refusals settings () =
+  let full = Filename.temp_file "dmc-run-full" ".json" in
+  Sys.remove full;
+  ignore (run_checkpointed settings full);
+  let stored = Result.get_ok (Checkpoint.load full) in
+  let refused what ?kind ?signature json =
+    let path = Filename.temp_file "dmc-run-foreign" ".json" in
+    Checkpoint.write path json;
+    let bytes = read_file path in
+    (match run_checkpointed ~resume:path ?kind ?signature settings path with
+    | exception Failure msg ->
+        check_bool (what ^ ": names the file") true
+          (String.starts_with ~prefix:("cannot resume from " ^ path) msg)
+    | _ -> Alcotest.failf "%s: resumed" what);
+    check_string (what ^ ": checkpoint untouched") bytes (read_file path);
+    Sys.remove path
+  in
+  refused "foreign kind" ~kind:"other" stored;
+  refused "foreign version" (with_field "v" (fun _ -> Json.Int 2) stored);
+  refused "no version"
+    (match stored with
+    | Json.Obj fields -> Json.Obj (List.remove_assoc "v" fields)
+    | _ -> Alcotest.fail "checkpoint is not an object");
+  refused "different signature" ~signature:(Json.String "other") stored;
+  refused "over-long prefix"
+    (with_field "committed"
+       (function
+         | Json.List l -> Json.List (l @ [ Json.Int 0 ])
+         | _ -> Alcotest.fail "no committed list")
+       stored);
+  Sys.remove full
+
+(* The same through the real binaries: a full run's checkpoint cut to
+   a 4-payload prefix resumes to the uninterrupted stdout and exit
+   code. *)
+let bin name =
+  let dir = Filename.dirname Sys.executable_name in
+  let dir =
+    if Filename.is_relative dir then Filename.concat (Sys.getcwd ()) dir
+    else dir
+  in
+  Filename.concat (Filename.concat dir "../bin") name
+
+(* Run [argv] in [dir]: its stdout and exit code. *)
+let run_in dir argv =
+  let cmd =
+    Printf.sprintf "cd %s && %s 2>/dev/null" (Filename.quote dir)
+      (String.concat " " (List.map Filename.quote argv))
+  in
+  let ic = Unix.open_process_in cmd in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED code -> (out, code)
+  | _ -> Alcotest.failf "%s died on a signal" cmd
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "dmc-resume" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.readdir dir
+      |> Array.iter (fun n -> Sys.remove (Filename.concat dir n));
+      Unix.rmdir dir)
+    (fun () -> f dir)
+
+(* [argv] run whole with a checkpoint in [dir], then resumed from that
+   checkpoint cut to an [edit]ed 4-payload prefix: both stdouts and
+   exit codes. *)
+let cut_and_resume ?(edit = Fun.id) dir argv =
+  let ckpt = Filename.concat dir "run.ckpt" in
+  let whole = run_in dir (argv @ [ "--checkpoint"; ckpt ]) in
+  let stored = Result.get_ok (Checkpoint.load ckpt) in
+  Checkpoint.write ckpt (committed_prefix 4 (edit stored));
+  (whole, run_in dir (argv @ [ "--resume"; ckpt ]))
+
+let resumes_identically ~code argv =
+  with_temp_dir @@ fun dir ->
+  let what = String.concat " " (List.tl argv) in
+  let (out, c), (out', c') = cut_and_resume dir argv in
+  check (what ^ ": exit code") code c;
+  check_string (what ^ ": resumed stdout") out out';
+  check (what ^ ": resumed exit code") c c'
+
+let test_binary_resume () =
+  let experiment =
+    [ bin "dmc.exe"; "experiment"; "table1"; "sec3"; "jacobi"; "--json" ]
+  in
+  resumes_identically ~code:0 experiment;
+  resumes_identically ~code:0 [ bin "fuzz.exe"; "12"; "7" ];
+  (* A lost worker is a committed violation: replayed, it prints and
+     fails again. *)
+  resumes_identically ~code:1
+    [ bin "fuzz.exe"; "6"; "7"; "--fault"; "abort:3"; "--retries"; "0" ];
+  (* A part that committed no payload fails the run, replayed or not. *)
+  with_temp_dir @@ fun dir ->
+  let null_first =
+    with_field "committed" (function
+      | Json.List (_ :: rest) -> Json.List (Json.Null :: rest)
+      | _ -> Alcotest.fail "no committed list")
+  in
+  let _, (_, code) = cut_and_resume ~edit:null_first dir experiment in
+  check "null payload replayed: exit code" 1 code
+
+let test_binary_refusal () =
+  with_temp_dir @@ fun dir ->
+  let ckpt = Filename.concat dir "run.ckpt" in
+  let fuzz = bin "fuzz.exe" in
+  ignore (run_in dir [ fuzz; "6"; "7"; "--checkpoint"; ckpt ]);
+  let out, code = run_in dir [ fuzz; "40"; "9"; "--resume"; ckpt ] in
+  check "another grid: usage exit" 2 code;
+  check_string "another grid: nothing run" "" out
 
 (* ------------------------------------------------------------------ *)
 (* Progress channel                                                    *)
@@ -711,6 +907,21 @@ let () =
           Alcotest.test_case "crash isolation" `Quick test_isolation;
           Alcotest.test_case "hard-stop accounting" `Quick test_stop_accounting;
           Alcotest.test_case "backend choice" `Quick test_backend_choice;
+        ] );
+      ( "run checkpoint",
+        [
+          Alcotest.test_case "prefix resumes, in-process" `Quick
+            (test_checkpoint_resume in_process);
+          Alcotest.test_case "prefix resumes, pooled" `Quick
+            (test_checkpoint_resume pooled);
+          Alcotest.test_case "foreign refused, in-process" `Quick
+            (test_checkpoint_refusals in_process);
+          Alcotest.test_case "foreign refused, pooled" `Quick
+            (test_checkpoint_refusals pooled);
+          Alcotest.test_case "binaries resume a prefix" `Slow
+            test_binary_resume;
+          Alcotest.test_case "fuzz refuses another grid" `Quick
+            test_binary_refusal;
         ] );
       ( "progress",
         [

@@ -107,31 +107,6 @@ let test_grid_validation () =
     (List.length Dmc_core.Bounds.governed_engines)
     (List.length (Sweep.rows grid))
 
-(* ------------------------------------------------------------------ *)
-(* Checkpoint / restore                                                *)
-
-let test_checkpoint_roundtrip () =
-  let grid =
-    fail_result
-      (Sweep.make ~specs:[ "fft:3" ] ~ss:[ 4; 8 ] ~engines:[ "floor" ] ())
-  in
-  let committed = [ Json.Int 1; Json.Int 2 ] in
-  (match Sweep.restore grid (Sweep.checkpoint grid ~committed) with
-  | Ok payloads -> check_bool "prefix survives" true (payloads = committed)
-  | Error e -> Alcotest.fail e);
-  must_error "foreign kind"
-    (Sweep.restore grid (Json.Obj [ ("kind", Json.String "other") ]));
-  let other =
-    fail_result
-      (Sweep.make ~specs:[ "fft:3" ] ~ss:[ 4 ] ~engines:[ "floor" ] ())
-  in
-  must_error "signature mismatch"
-    (Sweep.restore other (Sweep.checkpoint grid ~committed));
-  must_error "more payloads than rows"
-    (Sweep.restore grid
-       (Sweep.checkpoint grid
-          ~committed:[ Json.Int 1; Json.Int 2; Json.Int 3 ]))
-
 let test_doc_uncommitted_rows () =
   let grid =
     fail_result
@@ -673,8 +648,6 @@ let () =
           Alcotest.test_case "expansion order" `Quick test_grid_expansion_order;
           Alcotest.test_case "seed axis" `Quick test_grid_seed_axis;
           Alcotest.test_case "validation" `Quick test_grid_validation;
-          Alcotest.test_case "checkpoint roundtrip" `Quick
-            test_checkpoint_roundtrip;
           Alcotest.test_case "uncommitted rows fail the report" `Quick
             test_doc_uncommitted_rows;
         ] );
