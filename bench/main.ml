@@ -356,10 +356,6 @@ let micro_benchmarks () =
              Dmc_core.Wavefront.verify_witness g w)) );
       ( "span-search-tree8",
         keep (fun () -> Dmc_core.Span.s_span tree ~s:6) );
-      ( "sim-game-synthesis-fft32",
-        keep (fun () ->
-            Dmc_sim.Sim_game.of_execution fft
-              ~order:(Dmc_core.Strategy.default_order fft) ~s:8) );
       ( "mp-schedule-jacobi-p4",
         keep (fun () -> Dmc_core.Strategy.mp_io jac.Dmc_gen.Stencil.graph ~p:4 ~s:6) );
       ( "pc-schedule-tree8",

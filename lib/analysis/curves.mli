@@ -17,9 +17,6 @@ type curve = {
   points : point list;
 }
 
-val matmul_curve : ?n:int -> ss:int list -> unit -> curve
-(** Blocked matrix multiplication; default [n = 12]. *)
-
 val jacobi_curve : ?n:int -> ?steps:int -> ss:int list -> unit -> curve
 (** Skewed-tiled 1D Jacobi; defaults [n = 96], [steps = 24]. *)
 

@@ -11,8 +11,6 @@ type t = {
 
 let doc t = t.doc_of_parts (List.map (fun p -> p.run ()) t.parts)
 
-let part_names t = List.map (fun p -> p.part) t.parts
-
 let find_part t name = List.find_opt (fun p -> p.part = name) t.parts
 
 (* ------------------------------------------------------------------ *)

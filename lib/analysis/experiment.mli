@@ -23,8 +23,6 @@ type t = {
 val doc : t -> Doc.t
 (** Run every part in-process, in order, and assemble the document. *)
 
-val part_names : t -> string list
-
 val find_part : t -> string -> part option
 
 exception Malformed of string
@@ -57,8 +55,6 @@ val verdict_of_json : Dmc_util.Json.t -> Dmc_machine.Balance.verdict
 val blocks_to_json : Doc.block list -> Dmc_util.Json.t
 (** Parts that pre-render report fragments (tables, prose) store them
     as a list of {!Doc.block}s in their payload. *)
-
-val blocks_of_json : Dmc_util.Json.t -> Doc.block list
 
 val blocks_field : Dmc_util.Json.t -> string -> Doc.block list
 

@@ -132,6 +132,8 @@ let horizontal ?(dims = [ 12; 12 ]) ?(blocks = [ 2; 2 ]) ?(steps = 3) () =
     predicted_ghosts = Dmc_sim.Partitioner.ghost_words ~dims ~blocks ~star:true * steps;
   }
 
+(* Section 5.4.2: ghost words per block against the block's compute
+   volume, ((B+2)^d - B^d) / B^d ~ 2d/B, as the block side B sweeps. *)
 let surface_to_volume_table ?(d = 3) ~blocks () =
   let t =
     Table.create

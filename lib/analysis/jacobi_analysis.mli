@@ -57,20 +57,6 @@ val horizontal : ?dims:int list -> ?blocks:int list -> ?steps:int -> unit -> hor
     simulator, and check the horizontal traffic against the ghost-cell
     formula.  Defaults: a 12x12 grid in 2x2 blocks, 3 steps. *)
 
-val surface_to_volume_table : ?d:int -> blocks:int list -> unit -> Dmc_util.Table.t
-(** The Section-5.4.2 scaling law made visible: ghost words per block
-    vs the block's compute volume, [((B+2)^d - B^d) / B^d ≈ 2d/B], as
-    the block side [B] sweeps — the reason horizontal traffic never
-    binds a big-enough stencil block. *)
-
-val tightness_to_json : tightness -> Dmc_util.Json.t
-
-val tightness_of_json : Dmc_util.Json.t -> tightness
-
-val horizontal_to_json : horizontal_check -> Dmc_util.Json.t
-
-val horizontal_of_json : Dmc_util.Json.t -> horizontal_check
-
 val parts : Experiment.part list
 (** Four parts: thresholds, Theorem-10 tightness, horizontal ghost-cell
     traffic, and the surface-to-volume law. *)

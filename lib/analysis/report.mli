@@ -11,10 +11,6 @@ val experiments : Experiment.t list
 
 val find : string -> Experiment.t option
 
-val run_and_print : Experiment.t -> bool
-(** Run every part in-process, print the text rendering to stdout, and
-    return whether every check passed. *)
-
 val names : (string * (unit -> bool)) list
 (** Print-and-check thunks in registry order, for the bench harness. *)
 

@@ -31,12 +31,6 @@ val jacobi_cache_sweep : ?balance:float -> cache_mwords:float list -> unit -> ca
 (** How the Jacobi dimension threshold moves with the cache size, at a
     fixed DRAM balance (default BG/Q's 0.052). *)
 
-val min_balance_table : unit -> Dmc_util.Table.t
-(** Per algorithm, the minimum machine balance (words/FLOP) under which
-    it can possibly avoid being bandwidth-bound: 0.3 for CG,
-    [6/(m+20)] for GMRES at several [m], [1/(4 (2S)^{1/d})] for 2D/3D
-    Jacobi at the BG/Q cache size. *)
-
 val balance_trend_table : unit -> Dmc_util.Table.t
 (** The balance timeline over {!Dmc_machine.Machines.extended}: per
     system, the (estimated) vertical and horizontal balances and the

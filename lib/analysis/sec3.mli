@@ -23,15 +23,9 @@ type row = {
   rbw_lb : int option;           (** certified wavefront bound on it *)
 }
 
-val row_for : ?measure_limit:int -> int -> row
-(** One sweep row; CDAGs are measured when [n <= measure_limit]
-    (default 8). *)
-
 val sweep : ?ns:int list -> ?measure_limit:int -> unit -> row list
 (** Defaults: [ns = [4; 8; 16; 32; 64]], CDAGs measured when
     [n <= measure_limit] (default 8). *)
-
-val table_of_rows : row list -> Dmc_util.Table.t
 
 val table : ?ns:int list -> ?measure_limit:int -> unit -> Dmc_util.Table.t
 

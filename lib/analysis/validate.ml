@@ -234,6 +234,9 @@ type hierarchy_check = {
   holds : bool;
 }
 
+(* Run the three-level scheduler on assorted workloads (every game
+   validated by [Prbw_game.run]) and check the measured per-boundary
+   traffic against the matching sequential lower bounds. *)
 let hierarchy_suite () =
   let cases =
     [
@@ -304,6 +307,10 @@ type matmul_level_row = {
   cache_bound : float;
 }
 
+(* Two-level blocked matmul through the three-level scheduler, per
+   [(s1, s2)]: measured traffic at both boundaries next to the
+   Hong-Kung bound at that capacity (the Theorems 5/6 tightness
+   experiment). *)
 let matmul_multilevel ?(n = 16) ~configs () =
   let mm = Dmc_gen.Linalg.matmul_indexed n in
   let g = mm.Dmc_gen.Linalg.mm_graph in

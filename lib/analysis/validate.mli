@@ -26,8 +26,6 @@ val soundness_suite : ?seed:int -> ?cases:int -> unit -> case list
     diamonds, FFT, pyramid, binomial), each analyzed at 2–3 values of
     [S]. *)
 
-val soundness_table : case list -> Dmc_util.Table.t
-
 val all_sound : case list -> bool
 
 type theorem1_check = {
@@ -44,8 +42,6 @@ val theorem1_suite : ?seed:int -> unit -> theorem1_check list
     partition from each, and check both partition validity (as a
     2S-partition) and the I/O sandwich. *)
 
-val theorem1_table : theorem1_check list -> Dmc_util.Table.t
-
 type sim_check = {
   name : string;
   s : int;                (** innermost capacity of the simulator *)
@@ -57,8 +53,6 @@ type sim_check = {
 val simulator_suite : ?seed:int -> unit -> sim_check list
 (** The cache simulator is one particular pebble-game player, so its
     measured traffic must dominate every certified lower bound. *)
-
-val simulator_table : sim_check list -> Dmc_util.Table.t
 
 type hierarchy_check = {
   name : string;
@@ -73,14 +67,6 @@ type hierarchy_check = {
           [N_l = 1]) and the inner boundary carries at least as much *)
 }
 
-val hierarchy_suite : unit -> hierarchy_check list
-(** Run the three-level scheduler ({!Dmc_core.Strategy.hierarchical})
-    on assorted workloads — every game validated by
-    {!Dmc_core.Prbw_game.run} — and check the measured per-boundary
-    traffic against the corresponding sequential lower bounds. *)
-
-val hierarchy_table : hierarchy_check list -> Dmc_util.Table.t
-
 type matmul_level_row = {
   n : int;
   s1 : int;
@@ -90,16 +76,6 @@ type matmul_level_row = {
   cache_traffic : int;      (** measured at the cache boundary *)
   cache_bound : float;      (** [n^3 / (2 sqrt(2 s2))] *)
 }
-
-val matmul_multilevel : ?n:int -> configs:(int * int) list -> unit -> matmul_level_row list
-(** Drive a two-level blocked matrix multiplication through the
-    three-level scheduler for each [(s1, s2)] pair and record the
-    measured traffic at both boundaries next to the Hong–Kung bound at
-    the corresponding capacity — the multi-level tightness experiment
-    behind Theorems 5/6.  Every game is validated by
-    {!Dmc_core.Prbw_game.run}.  Default [n = 16]. *)
-
-val matmul_multilevel_table : matmul_level_row list -> Dmc_util.Table.t
 
 val validate_parts : Experiment.part list
 (** The "validate" experiment: soundness suite + Theorem 1. *)

@@ -38,7 +38,6 @@ let fold_row off arr v f init =
 let fold_succ g v f init = fold_row g.succ_off g.succ v f init
 let fold_pred g v f init = fold_row g.pred_off g.pred v f init
 
-let succ_list g v = List.rev (fold_succ g v (fun acc w -> w :: acc) [])
 let pred_list g v = List.rev (fold_pred g v (fun acc w -> w :: acc) [])
 
 let iter_edges g f =

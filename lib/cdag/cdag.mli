@@ -9,7 +9,7 @@
     Following the red-blue-white (RBW) model of Section 3, the tagging
     is {e flexible}: a vertex without predecessors need not be an input,
     and a vertex without successors need not be an output.  Use
-    {!Validate.hong_kung} to check the stricter Hong–Kung convention
+    {!Validate.is_hong_kung} to check the stricter Hong–Kung convention
     when needed.
 
     Graphs are built with a mutable {!Builder.t} and then {e frozen}
@@ -71,8 +71,6 @@ val fold_succ : t -> vertex -> ('a -> vertex -> 'a) -> 'a -> 'a
 
 val fold_pred : t -> vertex -> ('a -> vertex -> 'a) -> 'a -> 'a
 
-val succ_list : t -> vertex -> vertex list
-
 val pred_list : t -> vertex -> vertex list
 
 val iter_edges : t -> (vertex -> vertex -> unit) -> unit
@@ -96,8 +94,6 @@ val inputs : t -> vertex list
 val outputs : t -> vertex list
 
 val n_inputs : t -> int
-
-val n_outputs : t -> int
 
 val n_compute : t -> int
 (** [n_vertices - n_inputs]: the operation set [V - I] of the paper,

@@ -95,16 +95,6 @@ let window t ~lo ~hi =
     invalid_arg "Implicit.window: bad range";
   induced t (Array.init (hi - lo) (fun i -> lo + i))
 
-let window_of_set t vs =
-  let ids = Array.of_list vs in
-  Array.sort compare ids;
-  Array.iter
-    (fun v ->
-      if v < 0 || v >= t.n_vertices then
-        invalid_arg "Implicit.window_of_set: vertex out of range")
-    ids;
-  induced t ids
-
 let check_monotone t =
   let ok = ref true in
   (try

@@ -55,11 +55,6 @@ val window : t -> lo:vertex -> hi:vertex -> Subgraph.part
     bounds sum soundly over disjoint windows.  [part.to_parent] maps
     window ids back to [lo ..]. *)
 
-val window_of_set : t -> vertex list -> Subgraph.part
-(** Like {!window} for an arbitrary vertex set (ascending ids assumed
-    after an internal sort); the tile extractor for non-contiguous
-    pieces such as an FFT rank band's butterfly groups. *)
-
 val check_monotone : t -> bool
 (** Whether every edge goes from a lower to a higher id — the property
     streaming consumers rely on.  O(V + E). *)

@@ -12,11 +12,6 @@ val descendants : Cdag.t -> Cdag.vertex -> Bitset.t
 val ancestors : Cdag.t -> Cdag.vertex -> Bitset.t
 (** Proper ancestors (excluding the vertex itself). *)
 
-val forward_closure : Cdag.t -> Bitset.t -> Bitset.t
-(** Everything reachable from the given set, including the set. *)
-
-val backward_closure : Cdag.t -> Bitset.t -> Bitset.t
-
 val reaches : Cdag.t -> Cdag.vertex -> Cdag.vertex -> bool
 (** [reaches g u v] is true when there is a directed path [u ->* v]
     (true when [u = v]). *)

@@ -31,9 +31,6 @@ let induced g set =
   in
   { graph; to_parent; of_parent }
 
-let induced_list g vs =
-  induced g (Bitset.of_list (Cdag.n_vertices g) vs)
-
 let partition g color =
   let n = Cdag.n_vertices g in
   if Array.length color <> n then invalid_arg "Subgraph.partition: bad color array";

@@ -20,8 +20,6 @@ val induced : Cdag.t -> Bitset.t -> part
 (** Sub-CDAG induced by a vertex set, with Theorem-2 tagging
     ([I_i = I ∩ V_i], [O_i = O ∩ V_i]). *)
 
-val induced_list : Cdag.t -> Cdag.vertex list -> part
-
 val partition : Cdag.t -> int array -> part array
 (** [partition g color] splits [g] by the per-vertex color (an
     arbitrary, not necessarily convex, assignment; colors must be dense

@@ -55,10 +55,6 @@ let height g =
   done;
   h
 
-let critical_path g =
-  if Cdag.n_vertices g = 0 then 0
-  else 1 + Array.fold_left max 0 (depth g)
-
 let layers g =
   let d = depth g in
   let max_d = Array.fold_left max 0 d in

@@ -15,10 +15,6 @@ val depth : Cdag.t -> int array
 val height : Cdag.t -> int array
 (** Dual of {!depth}: longest path from [v] down to any sink. *)
 
-val critical_path : Cdag.t -> int
-(** Number of vertices on the longest source-to-sink path; the span of
-    the computation (lower bound on parallel steps). *)
-
 val layers : Cdag.t -> Cdag.vertex list array
 (** Vertices grouped by {!depth}: index [d] holds the vertices at depth
     [d], ascending. *)

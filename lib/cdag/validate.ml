@@ -3,11 +3,6 @@ type violation =
   | Sink_not_output of Cdag.vertex
   | Input_has_pred of Cdag.vertex
 
-let pp_violation ppf = function
-  | Source_not_input v -> Format.fprintf ppf "source %d is not an input" v
-  | Sink_not_output v -> Format.fprintf ppf "sink %d is not an output" v
-  | Input_has_pred v -> Format.fprintf ppf "input %d has a predecessor" v
-
 let rbw g =
   Cdag.fold_vertices g
     (fun acc v ->

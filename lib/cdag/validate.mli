@@ -9,14 +9,6 @@ type violation =
   | Input_has_pred of Cdag.vertex
       (** an input vertex has an incoming edge (forbidden by Def. 1) *)
 
-val pp_violation : Format.formatter -> violation -> unit
-
-val hong_kung : Cdag.t -> violation list
-(** Violations of the strict Hong–Kung convention (Definition 2): every
-    source must be an input, every sink an output, and inputs have no
-    incoming edges.  An empty list means the graph is a valid input for
-    the red-blue game. *)
-
 val rbw : Cdag.t -> violation list
 (** Violations under the flexible RBW convention (Definition 4): only
     [Input_has_pred] remains an error — sources may be untagged (they

@@ -41,19 +41,10 @@ let jacobi_lb ~d ~n ~steps ~s ~p =
   grid_points ~d ~n *. fi steps
   /. (4.0 *. fi p *. ((2.0 *. fi s) ** (1.0 /. fi d)))
 
-let jacobi_u ~d ~s =
-  check_pos "d" d;
-  check_pos "s" s;
-  4.0 *. fi s *. ((2.0 *. fi s) ** (1.0 /. fi d))
-
 let ghost_cells ~d ~block =
   check_pos "d" d;
   check_pos "block" block;
   pow_int (fi block +. 2.0) d -. pow_int (fi block) d
-
-let jacobi_horizontal_ub ~d ~block ~steps =
-  check_pos "steps" steps;
-  ghost_cells ~d ~block *. fi steps
 
 let jacobi_balance_threshold ~d ~s =
   check_pos "d" d;
@@ -103,15 +94,6 @@ let gmres_vertical_lb_exact ~d ~n ~m ~s ~p =
   check_pos "s" s;
   let nd = grid_points ~d ~n in
   Float.max 0.0 (2.0 *. fi m *. ((3.0 *. nd) -. (2.0 *. fi s)) /. fi p)
-
-let gmres_flops ~d ~n ~m =
-  check_pos "m" m;
-  let nd = grid_points ~d ~n in
-  (20.0 *. nd *. fi m) +. (nd *. fi m *. fi m)
-
-let gmres_horizontal_ub ~d ~block ~m =
-  check_pos "m" m;
-  ghost_cells ~d ~block *. fi m
 
 let gmres_vertical_per_flop ~m =
   check_pos "m" m;

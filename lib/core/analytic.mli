@@ -32,15 +32,6 @@ val jacobi_lb : d:int -> n:int -> steps:int -> s:int -> p:int -> float
 (** [n^d T / (4 P (2S)^{1/d})] — Theorem 10 generalized to [d]
     dimensions. *)
 
-val jacobi_u : d:int -> s:int -> float
-(** The largest-2S-partition-subset estimate the paper uses for
-    Jacobi: [U(C, 2S) = 4 S (2S)^{1/d}]. *)
-
-val jacobi_horizontal_ub : d:int -> block:int -> steps:int -> float
-(** Ghost-cell exchange volume per block over [T] steps:
-    [((B+2)^d - B^d) T]; equals the paper's [4 B T] for [d = 2] up to
-    the corner terms. *)
-
 val jacobi_balance_threshold : d:int -> s:int -> float
 (** The per-FLOP vertical traffic floor [1 / (4 (2S)^{1/d})] that the
     machine balance must exceed for the stencil not to be
@@ -82,11 +73,6 @@ val gmres_vertical_lb : d:int -> n:int -> m:int -> p:int -> float
 
 val gmres_vertical_lb_exact : d:int -> n:int -> m:int -> s:int -> p:int -> float
 (** [2 m (3 n^d - 2S) / P], the summed per-iteration wavefront bounds. *)
-
-val gmres_flops : d:int -> n:int -> m:int -> float
-(** [20 n^d m + n^d m^2]. *)
-
-val gmres_horizontal_ub : d:int -> block:int -> m:int -> float
 
 val gmres_vertical_per_flop : m:int -> float
 (** [6 / (m + 20)]. *)

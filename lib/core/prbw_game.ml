@@ -41,11 +41,6 @@ let boundary_traffic stats ~level =
     invalid_arg "Prbw_game.boundary_traffic: level out of range";
   stats.move_up.(level - 2) + stats.move_down.(level - 1)
 
-let vertical_io_total stats =
-  stats.loads + stats.stores
-  + Array.fold_left ( + ) 0 stats.move_up
-  + Array.fold_left ( + ) 0 stats.move_down
-
 type error = { step : int; reason : string }
 
 type state = {

@@ -67,9 +67,6 @@ val boundary_traffic : stats -> level:int -> int
     pebbles plus R5 moves placing level-[level] pebbles.  This is the
     vertical data movement that Theorems 5 and 6 bound. *)
 
-val vertical_io_total : stats -> int
-(** Sum of all R1, R2, R4 and R5 moves. *)
-
 type error = { step : int; reason : string }
 
 val run : Hierarchy.t -> Cdag.t -> move list -> (stats, error) result
@@ -87,4 +84,4 @@ val embed_sequential :
     remove only the level-1 copy).  The embedding is a valid P-RBW game
     whenever the sequential game is valid with [s = S_1] and every
     intermediate level has enough capacity to hold all live values —
-    guaranteed for {!Dmc_machine.Hierarchy.two_level}. *)
+    guaranteed for one processor under one unbounded memory. *)

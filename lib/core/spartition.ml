@@ -1,27 +1,7 @@
 module Bitset = Dmc_util.Bitset
 module Budget = Dmc_util.Budget
 module Cdag = Dmc_cdag.Cdag
-
-let in_set g vi =
-  let n = Cdag.n_vertices g in
-  let out = Bitset.create n in
-  Bitset.iter
-    (fun v ->
-      Cdag.iter_pred g v (fun u -> if not (Bitset.mem vi u) then Bitset.add out u))
-    vi;
-  out
-
-let out_set g vi =
-  let n = Cdag.n_vertices g in
-  let out = Bitset.create n in
-  Bitset.iter
-    (fun v ->
-      if Cdag.is_output g v then Bitset.add out v
-      else
-        Cdag.iter_succ g v (fun w ->
-            if not (Bitset.mem vi w) then Bitset.add out v))
-    vi;
-  out
+module Subgraph = Dmc_cdag.Subgraph
 
 let blocks_of_color g color =
   let n = Cdag.n_vertices g in
@@ -69,9 +49,9 @@ let check g ~s ~color =
             let violation =
               List.find_map
                 (fun b ->
-                  if Bitset.cardinal (in_set g b) > s then
+                  if Bitset.cardinal (Subgraph.boundary_in g b) > s then
                     Some "subset with |In| > S"
-                  else if Bitset.cardinal (out_set g b) > s then
+                  else if Bitset.cardinal (Subgraph.boundary_out g b) > s then
                     Some "subset with |Out| > S"
                   else None)
                 nonempty

@@ -18,12 +18,6 @@ module Bitset := Dmc_util.Bitset
     Partitions are represented as a color array indexed by vertex:
     inputs carry [-1], compute vertices a color in [0 .. h-1]. *)
 
-val in_set : Cdag.t -> Bitset.t -> Bitset.t
-(** [In(V_i)] of Definition 5. *)
-
-val out_set : Cdag.t -> Bitset.t -> Bitset.t
-(** [Out(V_i)] of Definition 5. *)
-
 val check : Cdag.t -> s:int -> color:int array -> (int, string) result
 (** Validate a color array as an [s]-partition; [Ok h] returns the
     number of non-empty subsets.  P2 is checked exactly as Definition 5

@@ -25,9 +25,6 @@ type result = {
   windows : window_bound array;
 }
 
-val default_window : int
-(** 4096 vertices per window. *)
-
 val wavefront_sum :
   ?samples:int ->
   ?window:int ->

@@ -63,10 +63,6 @@ val families : string list
 
 val supports : string -> bool
 
-val default_samples : int
-(** 8 — fewer than the numeric CLI default because each sample runs on
-    a tile-sized graph and only class representatives are analyzed. *)
-
 val bound :
   ?samples:int -> ?tile:int -> spec:string -> s:int -> unit -> (t, string) result
 (** Build the plan for [spec] (a workload spec; trailing parameters

@@ -145,8 +145,3 @@ let render_timeline ?(width = 64) moves =
       io.(n - 1) (spark live)
       (Array.fold_left max 0 live)
   end
-
-let check_roundtrip g ~s moves =
-  match Rbw_game.run g ~s moves with
-  | Ok stats -> stats.Rbw_game.io = (summarize moves).io
-  | Error _ -> false

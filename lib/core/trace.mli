@@ -48,7 +48,3 @@ val render_timeline : ?width:int -> Rbw_game.move list -> string
     the first row, live red-pebble count on the second, downsampled to
     [width] columns (default 64).  Purely cosmetic — used by the CLI's
     [--trace] output. *)
-
-val check_roundtrip : Cdag.t -> s:int -> Rbw_game.move list -> bool
-(** Convenience: [true] iff the trace replays cleanly and its
-    {!summarize} I/O agrees with the engine's count. *)

@@ -18,10 +18,6 @@ val min_wavefront : ?budget:Budget.t -> Cdag.t -> Cdag.vertex -> int
     [Desc(x)] (descendants uncuttable).  Returns 1 when [x] has no
     descendants (only [x] itself is live). *)
 
-val min_wavefront_cut :
-  ?budget:Budget.t -> Cdag.t -> Cdag.vertex -> int * Cdag.vertex list
-(** Also returns one minimum cut (the wavefront vertices). *)
-
 val wmax_exact : ?budget:Budget.t -> Cdag.t -> int
 (** [w_max = max_x |Wmin(x)|] over every vertex — one max-flow per
     vertex, so quadratic-ish; intended for small and mid-size CDAGs. *)

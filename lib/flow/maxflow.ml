@@ -33,8 +33,6 @@ let create n =
     cursor = [||];
   }
 
-let n_nodes net = net.n
-
 let push_edge net ~src ~dst ~cap =
   let id = Intvec.length net.head in
   Intvec.push net.head dst;
@@ -124,8 +122,6 @@ let iter_out net ~node f =
     if !e land 1 = 0 then f ~id:!e ~dst:(Intvec.get net.head !e);
     e := Intvec.get net.next !e
   done
-
-let edge_dst net id = Intvec.get net.head id
 
 let min_cut_source_side net ~src =
   let side = Bitset.create net.n in

@@ -12,8 +12,6 @@ val infinite : int
 val create : int -> t
 (** [create n] is an empty network over nodes [0 .. n-1]. *)
 
-val n_nodes : t -> int
-
 val add_edge : t -> src:int -> dst:int -> cap:int -> int
 (** Add a directed edge and its residual twin; returns an edge id for
     {!flow_on}.  Raises [Invalid_argument] on bad endpoints or negative
@@ -37,6 +35,3 @@ val iter_out : t -> node:int -> (id:int -> dst:int -> unit) -> unit
 (** Iterate the {e forward} edges (the ones created by {!add_edge},
     not their residual twins) leaving a node, with their ids — the raw
     material for flow decomposition. *)
-
-val edge_dst : t -> int -> int
-(** Destination node of an edge id. *)

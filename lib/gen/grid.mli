@@ -24,8 +24,6 @@ val index : t -> int list -> int
 val coord : t -> int -> int list
 (** Inverse of {!index}. *)
 
-val in_range : t -> int list -> bool
-
 val star_neighbors : t -> int -> int list
 (** Linear indices of the points one step along each axis (the
     [2d]-point von Neumann neighborhood), excluding the point itself;

@@ -76,35 +76,6 @@ let outer_product n =
   done;
   B.freeze ~inputs:(Array.to_list x @ Array.to_list y) ~outputs:!outs b
 
-(* Shared core of matvec/matmul: an accumulation chain over [n]
-   products feeding row/column inputs. *)
-let matvec n =
-  if n <= 0 then invalid_arg "Linalg.matvec";
-  let b = B.create ~hint:(3 * n * n) () in
-  let a = Array.init n (fun i -> vec b (Printf.sprintf "a%d_" i) n) in
-  let x = vec b "x" n in
-  let outs = ref [] in
-  for i = 0 to n - 1 do
-    let acc = ref (-1) in
-    for k = 0 to n - 1 do
-      let m = B.add_vertex ~label:(Printf.sprintf "m%d_%d" i k) b in
-      B.add_edge b a.(i).(k) m;
-      B.add_edge b x.(k) m;
-      if !acc < 0 then acc := m
-      else begin
-        let s = B.add_vertex ~label:(Printf.sprintf "s%d_%d" i k) b in
-        B.add_edge b !acc s;
-        B.add_edge b m s;
-        acc := s
-      end
-    done;
-    outs := !acc :: !outs
-  done;
-  let inputs =
-    Array.to_list x @ List.concat_map Array.to_list (Array.to_list a)
-  in
-  B.freeze ~inputs ~outputs:(List.rev !outs) b
-
 type mm = {
   mm_graph : Cdag.t;
   mm_n : int;

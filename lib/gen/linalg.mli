@@ -16,10 +16,6 @@ val outer_product : int -> Cdag.t
 (** [outer_product n]: inputs two [n]-vectors, outputs the [n^2]
     products.  Data movement is inherently [2n + n^2] (Sec. 3). *)
 
-val matvec : int -> Cdag.t
-(** [matvec n]: dense [n x n] matrix times [n]-vector, with multiply
-    vertices and per-row accumulation chains. *)
-
 val matmul : int -> Cdag.t
 (** [matmul n]: the classical [n^3] algorithm — a multiply vertex per
     [(i,j,k)] and a length-[n] accumulation chain per [(i,j)].  Inputs

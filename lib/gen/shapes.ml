@@ -34,29 +34,6 @@ let reduction_tree leaves =
   let root = reduce ins in
   B.freeze ~inputs:(Array.to_list ins) ~outputs:[ root ] b
 
-let broadcast_tree leaves =
-  if leaves <= 0 then invalid_arg "Shapes.broadcast_tree";
-  let b = B.create ~hint:(2 * leaves) () in
-  let root = B.add_vertex ~label:"root" b in
-  (* Grow a complete binary fan-out until we have [leaves] frontier
-     vertices. *)
-  let frontier = ref [ root ] in
-  while List.length !frontier < leaves do
-    let need = leaves - List.length !frontier in
-    let expanded, kept =
-      match !frontier with
-      | [] -> assert false
-      | v :: rest ->
-          let c1 = B.add_vertex b and c2 = B.add_vertex b in
-          B.add_edge b v c1;
-          B.add_edge b v c2;
-          ignore need;
-          ([ c1; c2 ], rest)
-    in
-    frontier := kept @ expanded
-  done;
-  B.freeze ~inputs:[ root ] ~outputs:!frontier b
-
 let diamond ~rows ~cols =
   if rows <= 0 || cols <= 0 then invalid_arg "Shapes.diamond";
   let b = B.create ~hint:(rows * cols) () in

@@ -11,10 +11,6 @@ val reduction_tree : int -> Cdag.t
 (** [reduction_tree leaves]: complete binary reduction over the given
     number of input leaves down to one output. *)
 
-val broadcast_tree : int -> Cdag.t
-(** Mirror image of {!reduction_tree}: one input fans out to the given
-    number of output leaves. *)
-
 val diamond : rows:int -> cols:int -> Cdag.t
 (** The diamond/grid DAG: vertex [(i,j)] depends on [(i-1,j)] and
     [(i,j-1)].  [(0,0)] is the input, [(rows-1, cols-1)] the output. *)

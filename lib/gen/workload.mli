@@ -62,10 +62,6 @@ type implicit_w = {
   ibuild : int list -> Dmc_cdag.Implicit.t;  (** full-arity only *)
 }
 
-val implicit_all : implicit_w list
-
-val implicit_names : string list
-
 val find_implicit : string -> implicit_w option
 
 val implicit_signature : implicit_w -> string

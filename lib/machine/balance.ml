@@ -5,8 +5,6 @@ let verdict_to_string = function
   | Not_bandwidth_bound -> "not bandwidth-bound"
   | Indeterminate -> "indeterminate"
 
-let pp_verdict ppf v = Format.pp_print_string ppf (verdict_to_string v)
-
 let lb_per_flop ~lb_per_unit ~units ~work =
   if work <= 0.0 then invalid_arg "Balance.lb_per_flop: non-positive work";
   lb_per_unit *. float_of_int units /. work

@@ -21,8 +21,6 @@ type verdict =
   | Indeterminate
       (** [lb_per_flop <= balance <= ub_per_flop]. *)
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
 val verdict_to_string : verdict -> string
 
 val lb_per_flop : lb_per_unit:float -> units:int -> work:float -> float

@@ -58,14 +58,6 @@ let unit_of_processor h ~level p =
     invalid_arg "Hierarchy.unit_of_processor: bad processor";
   p / (processors h / count h ~level)
 
-let aggregate_capacity h ~level = count h ~level * capacity h ~level
-
-let two_level ~s =
-  create [ { count = 1; capacity = s }; { count = 1; capacity = max_int / 2 } ]
-
-let smp ~cores ~s1 ~shared =
-  create [ { count = cores; capacity = s1 }; { count = 1; capacity = shared } ]
-
 let cluster ~nodes ~cores ~s1 ~l2 ~mem =
   create
     [

@@ -33,10 +33,6 @@ val capacity : t -> level:int -> int
 val processors : t -> int
 (** [P = N_1]. *)
 
-val fan_out : t -> level:int -> int
-(** [N_l / N_{l+1}] for [level < L]: the number of level-[l] children
-    under one level-[l+1] unit. *)
-
 val parent_unit : t -> level:int -> int -> int
 (** [parent_unit h ~level j] is the index of the level-[l+1] unit above
     level-[l] unit [j].  Requires [level < L]. *)
@@ -48,17 +44,6 @@ val children_units : t -> level:int -> int -> int list
 val unit_of_processor : t -> level:int -> int -> int
 (** The level-[l] unit in the subtree of which processor [p] sits
     (processor [p] is level-1 unit [p]). *)
-
-val aggregate_capacity : t -> level:int -> int
-(** [S_l * N_l]: total words available at a level. *)
-
-val two_level : s:int -> t
-(** The classic Hong–Kung setting: one processor, [s] red pebbles, one
-    unbounded main memory — encoded as levels [(1, s); (1, max_int/2)]. *)
-
-val smp : cores:int -> s1:int -> shared:int -> t
-(** A shared-memory node: [cores] processors with [s1] private words
-    each, under a single shared memory of [shared] words. *)
 
 val cluster : nodes:int -> cores:int -> s1:int -> l2:int -> mem:int -> t
 (** The paper's target shape: [nodes] main memories of [mem] words,

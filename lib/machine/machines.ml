@@ -39,8 +39,6 @@ let cache_words m = int_of_float (m.cache_mb *. 1024.0 *. 1024.0 /. word_bytes)
 let memory_words_per_node m =
   int_of_float (m.memory_gb_per_node *. 1024.0 *. 1024.0 *. 1024.0 /. word_bytes)
 
-let total_cores m = m.nodes * m.cores_per_node
-
 let hierarchy m ~s1 =
   Hierarchy.cluster ~nodes:m.nodes ~cores:m.cores_per_node ~s1
     ~l2:(cache_words m) ~mem:(memory_words_per_node m)
@@ -87,12 +85,6 @@ let extended =
         horizontal_balance = 0.000065;
       } );
   ]
-
-let find_any name =
-  let canon s = String.lowercase_ascii (String.trim s) in
-  List.find_opt
-    (fun m -> canon m.name = canon name)
-    (table1 @ List.map snd extended)
 
 let pp ppf m =
   Format.fprintf ppf

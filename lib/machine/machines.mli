@@ -20,9 +20,6 @@ type t = {
 val bgq : t
 (** IBM BG/Q: 2048 nodes, 16 GB, 32 MB cache, 0.052 / 0.049. *)
 
-val xt5 : t
-(** Cray XT5: 9408 nodes, 16 GB, 6 MB cache, 0.0256 / 0.058. *)
-
 val table1 : t list
 (** The machines of Table 1, in paper order. *)
 
@@ -34,15 +31,8 @@ val extended : (int * t) list
     motivating observation that balance keeps falling.  The [int] is
     the system's deployment year. *)
 
-val find_any : string -> t option
-(** Case-insensitive lookup among {!table1} and {!extended}. *)
-
 val cache_words : t -> int
 (** Shared cache capacity in 8-byte words. *)
-
-val memory_words_per_node : t -> int
-
-val total_cores : t -> int
 
 val hierarchy : t -> s1:int -> Hierarchy.t
 (** The three-level {!Hierarchy.t} of the machine (registers of [s1]

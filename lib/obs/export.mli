@@ -17,18 +17,6 @@
 val counters_table : unit -> string
 (** All registered counters in name order, via {!Dmc_util.Table}. *)
 
-val histograms_table : unit -> string
-(** Non-empty histograms in name order: n, mean, p50/p90/p99. *)
-
-val gauges_table : unit -> string
-(** Set gauges in name order with their last values. *)
-
-val spans_table : unit -> string
-(** Spans aggregated by name: count, total and mean milliseconds. *)
-
-val span_aggregate : unit -> (string * int * float) list
-(** [(name, count, total_microseconds)] in name order. *)
-
 val profile : unit -> string
 (** Counters, histograms, gauges and spans sections in that order,
     plus a dropped-span notice if the event buffer overflowed. *)

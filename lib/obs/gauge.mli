@@ -7,7 +7,7 @@
     still cannot affect the result.
 
     The built-in [gc.*] gauges are refreshed automatically from
-    [Gc.quick_stat] at every span close; see {!Registry.sample_gc}. *)
+    [Gc.quick_stat] at every span close. *)
 
 type t = Registry.gauge
 
@@ -20,5 +20,3 @@ val set : t -> float -> unit
 
 val get : t -> float
 (** Last recorded value, [0.] if never set. *)
-
-val is_set : t -> bool

@@ -66,11 +66,6 @@ let source name =
 
 let source_name id = Hashtbl.find_opt source_names id
 
-let fold_sources f acc =
-  let all = Hashtbl.fold (fun id name l -> (id, name) :: l) source_names [] in
-  let all = List.sort compare all in
-  List.fold_left (fun acc (id, name) -> f acc id name) acc all
-
 (* Counters are registered once (typically at module initialisation in
    the instrumented library) and found by name thereafter, so merging a
    child snapshot can never create duplicates. *)

@@ -62,9 +62,6 @@ val source : string -> int
 val source_name : int -> string option
 (** The name a lane id was registered under. *)
 
-val fold_sources : ('a -> int -> string -> 'a) -> 'a -> 'a
-(** Fold over registered lanes in id order (deterministic). *)
-
 val counter : string -> counter
 (** Find or create the counter registered under [name].  Creation is
     idempotent, so modules may register at initialisation time and
@@ -118,10 +115,6 @@ val set_gauge : gauge -> float -> unit
 val merge_gauge : gauge -> float -> unit
 (** [merge_gauge g v] is [set_gauge g (max g.g_value v)] once [g] has
     been set, plain [set_gauge] before. *)
-
-val sample_gc : unit -> unit
-(** Refresh the [gc.*] gauges from [Gc.quick_stat].  Runs automatically
-    at every span close and inside {!snapshot_json}. *)
 
 val max_events : unit -> int
 (** Completed-span buffer bound; beyond it spans are counted as dropped
@@ -205,7 +198,7 @@ val child_reset : unit -> unit
 
 val snapshot_json : unit -> Dmc_util.Json.t
 (** Serialize non-zero counters, non-empty histograms (sparse bucket
-    pairs), set gauges (after a final {!sample_gc}), the dropped count
+    pairs), set gauges (after a final GC sample), the dropped count
     and all completed spans — the payload a pool worker appends to its
     {!Dmc_util.Ipc} result frame. *)
 

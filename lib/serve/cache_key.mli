@@ -13,10 +13,6 @@ val version : string
     the key material changes shape: old persisted entries then miss
     instead of replaying a stale format. *)
 
-val spec_version : string
-(** Separate version tag for the spec-keyed space below; bumping either
-    tag invalidates only its own key space. *)
-
 val of_spec :
   engine:string ->
   s:int ->
@@ -29,7 +25,7 @@ val of_spec :
     itself plus the engine parameters — the graph is never built, so a
     repeat query for a named workload is answered from cache without
     paying materialization.  Spec keys live in their own version space
-    ({!spec_version}): they can never collide with {!of_job} keys, and
+    (a separate version tag): they can never collide with {!of_job} keys, and
     a spec and its materialized graph are deliberately cached as two
     entries — the price of never building the graph on the hot path. *)
 

@@ -51,21 +51,6 @@ val default : config
     in-flight, 10 s read timeout, 1 job, no compute timeout, 2
     retries, no faults, never drains. *)
 
-val stats_json : unit -> Dmc_util.Json.t
-(** The [Stats] reply payload: every registered counter and gauge, in
-    name order — [{"counters": {...}, "gauges": {...}}].  Exposed for
-    the tests and for [dmc query --stats] output formatting. *)
-
-val metrics_json : started:float -> unit -> Dmc_util.Json.t
-(** The [Metrics] reply payload: [{"uptime_s", "cache": {hits, misses,
-    ratio}, "registry": <Export.to_json>, "text":
-    <Export.prometheus>}].  [started] is the daemon's
-    [Unix.gettimeofday] at startup.  Also refreshes the
-    [serve.cache.hit_ratio] gauge so the exposition carries it.
-    Per-request latency rides the [serve.lat.*_us] histograms
-    (request, queue-wait, engine, cache-lookup), fed by the serve
-    loop. *)
-
 val serve : config -> (unit, string) result
 (** Run until drained.  [Ok ()] after a graceful drain (in-flight
     queries answered, cache persisted, socket unlinked); [Error] only

@@ -70,11 +70,6 @@ let insert c ?(dirty = false) k =
       push_mru c node;
       victim
 
-let set_dirty c k =
-  match Hashtbl.find_opt c.table k with
-  | Some node -> node.dirty <- true
-  | None -> ()
-
 let remove c k =
   match Hashtbl.find_opt c.table k with
   | None -> None

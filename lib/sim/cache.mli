@@ -26,9 +26,6 @@ val insert : t -> ?dirty:bool -> int -> eviction option
     victim when the cache was full.  Refreshing an existing key never
     evicts; [dirty] ORs into the existing dirty bit. *)
 
-val set_dirty : t -> int -> unit
-(** Mark a present key dirty; no-op when absent. *)
-
 val remove : t -> int -> eviction option
 (** Remove a key, returning its record when present. *)
 

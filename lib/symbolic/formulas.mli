@@ -41,12 +41,6 @@ val gmres_vertical_per_flop : Expr.t
 val ghost_cells : Expr.t
 (** [(B + 2)^d - B^d]. *)
 
-val lemma1 : Expr.t
-(** [S (h - 1)] with the partition count [h] as a variable. *)
-
-val lemma2 : Expr.t
-(** [2 (w - S)] with the wavefront size [w] as a variable. *)
-
 val all : (string * Expr.t) list
 (** Name -> formula registry for the CLI ([dmc formula]). *)
 

@@ -14,8 +14,6 @@ let failure_to_string = function
   | Invalid_input m -> "invalid-input: " ^ m
   | Internal m -> "internal: " ^ m
 
-let pp_failure ppf f = Format.pp_print_string ppf (failure_to_string f)
-
 let failure_of_string s =
   let tagged tag =
     let prefix = tag ^ ": " in
@@ -80,8 +78,6 @@ let create ?deadline ?nodes ?cancel () =
     nodes_left = (match nodes with Some n -> max 0 n | None -> max_int);
     ticks = 0;
   }
-
-let unlimited = create ()
 
 let over_deadline b =
   match b.deadline with None -> false | Some d -> now () > d

@@ -33,8 +33,6 @@ val failure_to_string : failure -> string
     ["budget-exhausted"], ["cancelled"], ["too-large: ..."],
     ["invalid-input: ..."], ["internal: ..."]. *)
 
-val pp_failure : Format.formatter -> failure -> unit
-
 val failure_of_string : string -> failure option
 (** Exact inverse of {!failure_to_string}, for failures that crossed a
     process boundary (worker-pool result frames, checkpoint files).
@@ -58,9 +56,6 @@ val now : unit -> float
     callers timing their own ladder rungs agree with the deadlines. *)
 
 type t
-
-val unlimited : t
-(** Never exhausts.  [tick] on it still counts, so {!spent} works. *)
 
 val create :
   ?deadline:float -> ?nodes:int -> ?cancel:(unit -> bool) -> unit -> t

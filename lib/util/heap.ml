@@ -65,6 +65,4 @@ let pop_min h =
     Some (p, v)
   end
 
-let peek_min h = if h.len = 0 then None else Some (h.prio.(0), h.value.(0))
-
 let clear h = h.len <- 0

@@ -19,6 +19,4 @@ val pop_min : t -> (int * int) option
 (** Remove and return the pair with the smallest priority, or [None]
     when empty. *)
 
-val peek_min : t -> (int * int) option
-
 val clear : t -> unit

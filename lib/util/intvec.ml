@@ -32,8 +32,6 @@ let clear v = v.len <- 0
 
 let to_array v = Array.sub v.data 0 v.len
 
-let of_array a = { data = Array.copy a; len = Array.length a }
-
 let iter f v =
   for i = 0 to v.len - 1 do
     f (Array.unsafe_get v.data i)

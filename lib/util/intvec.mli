@@ -27,8 +27,6 @@ val clear : t -> unit
 val to_array : t -> int array
 (** Fresh array of the current contents. *)
 
-val of_array : int array -> t
-
 val iter : (int -> unit) -> t -> unit
 
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a

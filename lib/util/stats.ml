@@ -81,17 +81,6 @@ let summarize xs =
     median = percentile xs 50.0;
   }
 
-let geomean xs =
-  if Array.length xs = 0 then invalid_arg "Stats.geomean: empty";
-  let log_sum =
-    Array.fold_left
-      (fun acc x ->
-        if x <= 0.0 then invalid_arg "Stats.geomean: non-positive sample";
-        acc +. log x)
-      0.0 xs
-  in
-  exp (log_sum /. float_of_int (Array.length xs))
-
 let pp_summary ppf s =
   Format.fprintf ppf
     "n=%d mean=%.4g sd=%.4g min=%.4g med=%.4g max=%.4g"

@@ -16,9 +16,6 @@ val summarize : float array -> summary
 
 val mean : float array -> float
 
-val geomean : float array -> float
-(** Geometric mean; requires strictly positive samples. *)
-
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [0,100], by linear interpolation on
     the sorted samples. *)

@@ -73,8 +73,6 @@ let body t =
 
 let fmt_float ?(digits = 4) x = Printf.sprintf "%.*f" digits x
 
-let fmt_sci x = Printf.sprintf "%.3e" x
-
 let fmt_int n =
   let s = string_of_int (abs n) in
   let len = String.length s in

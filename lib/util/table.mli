@@ -44,8 +44,5 @@ val body : t -> [ `Row of string list | `Rule ] list
 val fmt_float : ?digits:int -> float -> string
 (** Fixed-point with [digits] decimals (default 4). *)
 
-val fmt_sci : float -> string
-(** Scientific notation with 3 significant decimals. *)
-
 val fmt_int : int -> string
 (** Decimal with thin thousands separators (e.g. ["12_345"]). *)

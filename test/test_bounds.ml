@@ -26,12 +26,12 @@ let test_in_out_sets () =
   let g = Dmc_gen.Shapes.reduction_tree 4 in
   (* vertices: 0..3 leaves, 4 = 0+1, 5 = 2+3, 6 = root *)
   let vi = Bitset.of_list 7 [ 4; 5 ] in
-  Alcotest.(check (list int)) "In" [ 0; 1; 2; 3 ] (Bitset.elements (Spartition.in_set g vi));
-  Alcotest.(check (list int)) "Out" [ 4; 5 ] (Bitset.elements (Spartition.out_set g vi));
+  Alcotest.(check (list int)) "In" [ 0; 1; 2; 3 ] (Bitset.elements (Dmc_cdag.Subgraph.boundary_in g vi));
+  Alcotest.(check (list int)) "Out" [ 4; 5 ] (Bitset.elements (Dmc_cdag.Subgraph.boundary_out g vi));
   (* output vertices always count in Out *)
   let root_only = Bitset.of_list 7 [ 6 ] in
   Alcotest.(check (list int)) "root in Out" [ 6 ]
-    (Bitset.elements (Spartition.out_set g root_only))
+    (Bitset.elements (Dmc_cdag.Subgraph.boundary_out g root_only))
 
 let test_check_partition () =
   let g = Dmc_gen.Shapes.reduction_tree 4 in
@@ -329,7 +329,6 @@ let test_analytic_values () =
   check_float "ghost 2d" 44.0 (Analytic.ghost_cells ~d:2 ~block:10);
   check_float "jacobi lb" (8.0 *. 8.0 *. 4.0 /. (4.0 *. 4.0))
     (Analytic.jacobi_lb ~d:2 ~n:8 ~steps:4 ~s:8 ~p:1);
-  check_float "jacobi u" (4.0 *. 8.0 *. 4.0) (Analytic.jacobi_u ~d:2 ~s:8);
   check_float "cg flops" (20.0 *. 1000.0 *. 5.0) (Analytic.cg_flops ~d:1 ~n:1000 ~steps:5);
   check_float "cg per flop" 0.3 (Analytic.cg_vertical_per_flop ());
   check_float "gmres per flop" (6.0 /. 36.0) (Analytic.gmres_vertical_per_flop ~m:16);

@@ -1,10 +1,7 @@
-(* Tests for the extension modules: the original Hong-Kung partitions
-   (dominator sets), the lines bound, game traces, the DFS scheduling
-   order, and the architectural scaling sweeps. *)
+(* Tests for the extension modules: the lines bound, game traces, the
+   DFS scheduling order, and the architectural scaling sweeps. *)
 
 module Cdag = Dmc_cdag.Cdag
-module Bitset = Dmc_util.Bitset
-module Hk = Dmc_core.Hk_partition
 module Lines = Dmc_core.Lines
 module Trace = Dmc_core.Trace
 module Strategy = Dmc_core.Strategy
@@ -13,85 +10,6 @@ module Rng = Dmc_util.Rng
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_float = Alcotest.(check (float 1e-9))
-
-(* ------------------------------------------------------------------ *)
-(* Hk_partition                                                        *)
-
-let test_minimum_set () =
-  (* tree 0..3 leaves, 4 = 0+1, 5 = 2+3, 6 = root *)
-  let g = Dmc_gen.Shapes.reduction_tree 4 in
-  let vi = Bitset.of_list 7 [ 0; 1; 4 ] in
-  (* 0 and 1 feed 4 (inside), 4 feeds 6 (outside): Min = {4} *)
-  Alcotest.(check (list int)) "min set" [ 4 ] (Bitset.elements (Hk.minimum_set g vi));
-  (* the root has no successors at all: it belongs to Min *)
-  Alcotest.(check (list int)) "sink in min" [ 6 ]
-    (Bitset.elements (Hk.minimum_set g (Bitset.of_list 7 [ 6 ])))
-
-let test_min_dominator_tree () =
-  let g = Dmc_gen.Shapes.reduction_tree 4 in
-  (* the subtree vertex 4 is dominated by itself: cut size 1 vs
-     In-boundary size 2 — dominators are where Def 3 is sharper *)
-  let size, dom = Hk.min_dominator g (Bitset.of_list 7 [ 4 ]) in
-  check "dominator size" 1 size;
-  Alcotest.(check (list int)) "dominator is the vertex" [ 4 ] dom;
-  (* the root is dominated by any single cut on each leaf-root path;
-     {6} itself works *)
-  let size_root, _ = Hk.min_dominator g (Bitset.of_list 7 [ 6 ]) in
-  check "root dominator" 1 size_root;
-  (* the set of all 4 leaves needs all 4 inputs cut *)
-  let size_leaves, _ = Hk.min_dominator g (Bitset.of_list 7 [ 0; 1; 2; 3 ]) in
-  check "leaves dominator" 4 size_leaves
-
-let test_min_dominator_shared_input () =
-  (* one input feeding k middles: dominator of the middles = {input} *)
-  let g = Dmc_gen.Shapes.broadcast_tree 4 in
-  let sinks = Cdag.sinks g in
-  let size, _ = Hk.min_dominator g (Bitset.of_list (Cdag.n_vertices g) sinks) in
-  check "single source dominates" 1 size
-
-let test_hk_check_and_game () =
-  let g = Dmc_gen.Shapes.reduction_tree 8 in
-  let s = 4 in
-  (* a Belady RBW schedule is also a valid RB game (same move set,
-     weaker rules) *)
-  let moves = Strategy.schedule g ~s in
-  (match Dmc_core.Rb_game.run g ~s moves with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e.Dmc_core.Rb_game.reason);
-  let color = Hk.of_rb_game g ~s moves in
-  let h = 1 + Array.fold_left max (-1) color in
-  (match Hk.check g ~s:(2 * s) ~color with
-  | Ok h' -> check "all phases non-empty after compaction" h h'
-  | Error m -> Alcotest.fail m);
-  (* Lemma 1 direction *)
-  let io =
-    match Dmc_core.Rb_game.run g ~s moves with
-    | Ok st -> st.Dmc_core.Rb_game.io
-    | Error _ -> assert false
-  in
-  check_bool "q >= S(h-1)" true (io >= s * (h - 1))
-
-let test_hk_check_rejects () =
-  let g = Dmc_gen.Shapes.reduction_tree 8 in
-  (* everything in one subset: minimum dominator is the 8 inputs > 3 *)
-  let color = Array.make (Cdag.n_vertices g) 0 in
-  match Hk.check g ~s:3 ~color with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "oversized dominator accepted"
-
-let prop_hk_game_partitions_valid =
-  QCheck.Test.make ~name:"RB-game phases form valid 2S-partitions" ~count:20
-    QCheck.(int_bound 100_000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let g = Dmc_gen.Random_dag.layered rng ~layers:4 ~width:4 ~edge_prob:0.5 in
-      let max_indeg =
-        Cdag.fold_vertices g (fun acc v -> max acc (Cdag.in_degree g v)) 0
-      in
-      let s = max_indeg + 2 in
-      let moves = Strategy.schedule g ~s in
-      let color = Hk.of_rb_game g ~s moves in
-      match Hk.check g ~s:(2 * s) ~color with Ok _ -> true | Error _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Lines                                                               *)
@@ -134,8 +52,7 @@ let test_trace_summary () =
   check "loads agree" stats.Dmc_core.Rbw_game.loads summary.Trace.loads;
   check "computes agree" stats.Dmc_core.Rbw_game.computes summary.Trace.computes;
   check_bool "reload accounting" true
-    (summary.Trace.loads = summary.Trace.distinct_loaded + summary.Trace.reloads);
-  check_bool "roundtrip" true (Trace.check_roundtrip g ~s moves)
+    (summary.Trace.loads = summary.Trace.distinct_loaded + summary.Trace.reloads)
 
 let test_trace_timelines () =
   let moves =
@@ -235,7 +152,7 @@ let test_hierarchical_valid_and_bounded () =
         (b3 >= Dmc_core.Wavefront.lower_bound g ~s:s2);
       (* every input read once, every output written once *)
       check "loads = inputs" (Cdag.n_inputs g) stats.Dmc_core.Prbw_game.loads;
-      check "stores = outputs" (Cdag.n_outputs g) stats.Dmc_core.Prbw_game.stores
+      check "stores = outputs" (List.length (Cdag.outputs g)) stats.Dmc_core.Prbw_game.stores
 
 let test_hierarchical_large_cache_collapses () =
   (* with a cache as large as the graph, the memory boundary sees only
@@ -329,15 +246,6 @@ let qsuite name tests =
 let () =
   Alcotest.run "dmc_extensions"
     [
-      ( "hk_partition",
-        [
-          Alcotest.test_case "minimum set" `Quick test_minimum_set;
-          Alcotest.test_case "min dominator on trees" `Quick test_min_dominator_tree;
-          Alcotest.test_case "shared-input dominator" `Quick test_min_dominator_shared_input;
-          Alcotest.test_case "game-derived partition" `Quick test_hk_check_and_game;
-          Alcotest.test_case "rejects oversized dominators" `Quick test_hk_check_rejects;
-        ] );
-      qsuite "hk-props" [ prop_hk_game_partitions_valid ];
       ( "lines",
         [
           Alcotest.test_case "formulas" `Quick test_lines_formulas;

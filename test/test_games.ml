@@ -253,7 +253,6 @@ let test_prbw_valid_game () =
       check "move up level 1" 1 stats.Prbw.move_up.(0);
       check "move down level 2" 1 stats.Prbw.move_down.(1);
       check "boundary 2 traffic" 2 (Prbw.boundary_traffic stats ~level:2);
-      check "vertical total" 4 (Prbw.vertical_io_total stats);
       check "computes on proc 0" 2 stats.Prbw.computes_per_proc.(0)
   | Error e -> Alcotest.fail e.Prbw.reason
 

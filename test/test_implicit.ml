@@ -31,7 +31,7 @@ let assert_equiv name (imp : Implicit.t) (g : Cdag.t) =
   check (name ^ ": n_edges") (Cdag.n_edges g) (Implicit.n_edges imp);
   for v = 0 to Cdag.n_vertices g - 1 do
     let fail what = Alcotest.failf "%s: vertex %d: %s differ" name v what in
-    if sorted_collect imp.Implicit.iter_succ v <> Cdag.succ_list g v then
+    if sorted_collect imp.Implicit.iter_succ v <> sorted_collect (Cdag.iter_succ g) v then
       fail "successors";
     if sorted_collect imp.Implicit.iter_pred v <> Cdag.pred_list g v then
       fail "predecessors";

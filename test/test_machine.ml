@@ -22,13 +22,10 @@ let test_hierarchy_shape () =
   check "level-2 count" 4 (Hierarchy.count h ~level:2);
   check "level-3 count" 4 (Hierarchy.count h ~level:3);
   check "S1" 32 (Hierarchy.capacity h ~level:1);
-  check "S2" 1024 (Hierarchy.capacity h ~level:2);
-  check "aggregate L1" (32 * 32) (Hierarchy.aggregate_capacity h ~level:1)
+  check "S2" 1024 (Hierarchy.capacity h ~level:2)
 
 let test_hierarchy_tree () =
   let h = cluster () in
-  check "fan-out level 1" 8 (Hierarchy.fan_out h ~level:1);
-  check "fan-out level 2" 1 (Hierarchy.fan_out h ~level:2);
   check "parent of proc 9" 1 (Hierarchy.parent_unit h ~level:1 9);
   Alcotest.(check (list int)) "children of cache 1" [ 8; 9; 10; 11; 12; 13; 14; 15 ]
     (Hierarchy.children_units h ~level:2 1);
@@ -52,7 +49,7 @@ let test_hierarchy_errors () =
     (fun () -> ignore (Hierarchy.count h ~level:4));
   Alcotest.check_raises "fan-out outermost"
     (Invalid_argument "Hierarchy.fan_out: outermost level") (fun () ->
-      ignore (Hierarchy.fan_out h ~level:3))
+      ignore (Hierarchy.parent_unit h ~level:3 0))
 
 let test_pp_tree () =
   let h = cluster () in
@@ -67,11 +64,17 @@ let test_pp_tree () =
        lines)
 
 let test_two_level_and_smp () =
-  let h = Hierarchy.two_level ~s:16 in
+  let h =
+    Hierarchy.create
+      [ { Hierarchy.count = 1; capacity = 16 }; { Hierarchy.count = 1; capacity = max_int / 2 } ]
+  in
   check "two levels" 2 (Hierarchy.n_levels h);
   check "single processor" 1 (Hierarchy.processors h);
   check "S1 = s" 16 (Hierarchy.capacity h ~level:1);
-  let smp = Hierarchy.smp ~cores:4 ~s1:8 ~shared:256 in
+  let smp =
+    Hierarchy.create
+      [ { Hierarchy.count = 4; capacity = 8 }; { Hierarchy.count = 1; capacity = 256 } ]
+  in
   check "smp processors" 4 (Hierarchy.processors smp);
   check "smp shared" 256 (Hierarchy.capacity smp ~level:2)
 
@@ -83,16 +86,16 @@ let test_table1_values () =
   check "bgq nodes" 2048 Machines.bgq.Machines.nodes;
   check_float "bgq vertical" 0.052 Machines.bgq.Machines.vertical_balance;
   check_float "bgq horizontal" 0.049 Machines.bgq.Machines.horizontal_balance;
-  check "xt5 nodes" 9408 Machines.xt5.Machines.nodes;
-  check_float "xt5 vertical" 0.0256 Machines.xt5.Machines.vertical_balance;
-  check_float "xt5 horizontal" 0.058 Machines.xt5.Machines.horizontal_balance;
+  let xt5 = List.nth Machines.table1 1 in
+  check "xt5 nodes" 9408 xt5.Machines.nodes;
+  check_float "xt5 vertical" 0.0256 xt5.Machines.vertical_balance;
+  check_float "xt5 horizontal" 0.058 xt5.Machines.horizontal_balance;
   check "table has both" 2 (List.length Machines.table1)
 
 let test_machine_derived () =
   (* 32 MB cache / 8-byte words = 4 MWords — the S2 in the paper's
      Jacobi analysis. *)
   check "bgq cache words" (4 * 1024 * 1024) (Machines.cache_words Machines.bgq);
-  check "bgq total cores" (2048 * 16) (Machines.total_cores Machines.bgq);
   let h = Machines.hierarchy Machines.bgq ~s1:32 in
   check "hierarchy processors" (2048 * 16) (Dmc_machine.Hierarchy.processors h);
   check "hierarchy nodes" 2048 (Dmc_machine.Hierarchy.count h ~level:3)

@@ -131,7 +131,7 @@ let test_markdown_shape () =
    part-payload pipeline: doc-from-payloads equals doc-from-run. *)
 let test_parts_pipeline name () =
   let e = experiment name in
-  let names = Experiment.part_names e in
+  let names = List.map (fun (p : Experiment.part) -> p.part) e.parts in
   Alcotest.(check int) "part names unique"
     (List.length names)
     (List.length (List.sort_uniq compare names));

@@ -35,10 +35,8 @@ let test_cache_dirty_bits () =
       check "victim" 7 e.Cache.key;
       check_bool "dirty carried" true e.Cache.dirty
   | None -> Alcotest.fail "expected eviction");
-  (* set_dirty after a clean insert *)
-  Cache.set_dirty c 8;
   match Cache.remove c 8 with
-  | Some e -> check_bool "marked dirty" true e.Cache.dirty
+  | Some e -> check_bool "clean insert stays clean" false e.Cache.dirty
   | None -> Alcotest.fail "remove failed"
 
 let test_cache_refresh_no_evict () =
@@ -200,7 +198,7 @@ let test_exec_large_cache_cold_only () =
   let r = Exec.run g ~order (Exec.sequential ~capacities:[| 1024 |]) in
   (* everything fits: traffic = cold loads of 8 leaves + flush of all
      15 produced-or-loaded... leaves are clean, computes dirty *)
-  check "cold loads + dirty flush" (8 + 7) (Exec.vertical_total r ~level:1)
+  check "cold loads + dirty flush" (8 + 7) r.Exec.vertical.(0).(0)
 
 let test_exec_multinode_ghosts () =
   let n = 8 and steps = 2 in
@@ -228,13 +226,98 @@ let test_exec_rejects_bad_order () =
 (* ------------------------------------------------------------------ *)
 (* Sim_game: the simulator as an explicit, rule-checked game player    *)
 
+(* The oracle for "an LRU execution is one way to play the RBW game":
+   [of_execution] replays a compute order through a single-level LRU
+   cache of capacity [s] and emits the matching move sequence (fills
+   become loads, dirty write-backs stores, evictions deletes).  Its
+   I/O must equal the traffic [Exec.run] reports, word for word, and
+   its moves must replay through [Rbw_game.run].  Unused inputs are
+   loaded once at the end (the white-pebble completion rule).  Raises
+   [Failure] when [s] is below the largest in-degree plus one. *)
+module Sim_game = struct
+  module Bitset = Dmc_util.Bitset
+
+  type result = { moves : Dmc_core.Rbw_game.move list; io : int }
+
+  let of_execution g ~order ~s =
+    let n = Cdag.n_vertices g in
+    let cache = Cache.create ~capacity:s in
+    let blue = Bitset.create n in
+    List.iter (Bitset.add blue) (Cdag.inputs g);
+    let touched_input = Bitset.create n in
+    let moves = ref [] in
+    let io = ref 0 in
+    let emit m = moves := m :: !moves in
+    (* A dirty victim is written back (Store) before its pebble goes
+       away; a clean one is just deleted. *)
+    let handle_eviction = function
+      | None -> ()
+      | Some { Cache.key; dirty } ->
+          if dirty then begin
+            emit (Dmc_core.Rbw_game.Store key);
+            incr io;
+            Bitset.add blue key
+          end;
+          emit (Dmc_core.Rbw_game.Delete key)
+    in
+    let read v =
+      if not (Cache.touch cache v) then begin
+        (* miss: the value must be recoverable from slow memory *)
+        if not (Bitset.mem blue v) then
+          failwith "Sim_game.of_execution: operand lost (s too small)";
+        handle_eviction (Cache.insert cache v);
+        emit (Dmc_core.Rbw_game.Load v);
+        incr io;
+        if Cdag.is_input g v then Bitset.add touched_input v
+      end
+    in
+    Array.iter
+      (fun v ->
+        Cdag.iter_pred g v (fun u -> read u);
+        (* all operands are now the most recently used entries, so the
+           LRU victim of the result's insertion cannot be one of them
+           unless the capacity is below in-degree + 1 *)
+        let victim = Cache.insert cache ~dirty:true v in
+        (match victim with
+        | Some { Cache.key; _ } when Cdag.has_edge g key v ->
+            failwith "Sim_game.of_execution: operand evicted before the fire (s too small)"
+        | _ -> ());
+        handle_eviction victim;
+        emit (Dmc_core.Rbw_game.Compute v))
+      order;
+    (* flush: write every dirty resident back; outputs must reach slow
+       memory *)
+    let residents = ref [] in
+    Cache.iter (fun k ~dirty -> residents := (k, dirty) :: !residents) cache;
+    List.iter
+      (fun (k, dirty) ->
+        if dirty then begin
+          emit (Dmc_core.Rbw_game.Store k);
+          incr io;
+          Bitset.add blue k
+        end;
+        emit (Dmc_core.Rbw_game.Delete k);
+        ignore (Cache.remove cache k))
+      !residents;
+    (* whiten inputs nobody read *)
+    List.iter
+      (fun v ->
+        if not (Bitset.mem touched_input v) then begin
+          emit (Dmc_core.Rbw_game.Load v);
+          incr io;
+          emit (Dmc_core.Rbw_game.Delete v)
+        end)
+      (Cdag.inputs g);
+    { moves = List.rev !moves; io = !io }
+end
+
 let test_sim_game_replays () =
   List.iter
     (fun (g, s) ->
       let order = Dmc_core.Strategy.default_order g in
-      let r = Dmc_sim.Sim_game.of_execution g ~order ~s in
-      match Dmc_core.Rbw_game.run g ~s r.Dmc_sim.Sim_game.moves with
-      | Ok stats -> check "engine io agrees" r.Dmc_sim.Sim_game.io stats.Dmc_core.Rbw_game.io
+      let r = Sim_game.of_execution g ~order ~s in
+      match Dmc_core.Rbw_game.run g ~s r.Sim_game.moves with
+      | Ok stats -> check "engine io agrees" r.Sim_game.io stats.Dmc_core.Rbw_game.io
       | Error e -> Alcotest.fail e.Dmc_core.Rbw_game.reason)
     [
       (Dmc_gen.Shapes.reduction_tree 16, 4);
@@ -247,11 +330,11 @@ let test_sim_game_matches_exec_traffic () =
   let g = Dmc_gen.Fft.butterfly 4 in
   let s = 6 in
   let order = Dmc_core.Strategy.default_order g in
-  let game = Dmc_sim.Sim_game.of_execution g ~order ~s in
+  let game = Sim_game.of_execution g ~order ~s in
   let exec = Exec.run g ~order (Exec.sequential ~capacities:[| s; 10_000 |]) in
   (* identical LRU decisions: game I/O = boundary-1 traffic (this graph
      has no unused inputs) *)
-  check "word-for-word" exec.Exec.vertical.(0).(0) game.Dmc_sim.Sim_game.io
+  check "word-for-word" exec.Exec.vertical.(0).(0) game.Sim_game.io
 
 let test_sim_game_s_too_small () =
   let g = Dmc_gen.Shapes.two_level_fanin ~fanin:4 ~mids:1 in
@@ -259,7 +342,7 @@ let test_sim_game_s_too_small () =
     (Failure "Sim_game.of_execution: operand evicted before the fire (s too small)")
     (fun () ->
       ignore
-        (Dmc_sim.Sim_game.of_execution g
+        (Sim_game.of_execution g
            ~order:(Dmc_core.Strategy.default_order g)
            ~s:4))
 
@@ -274,9 +357,9 @@ let prop_sim_game_valid =
       in
       let s = max_indeg + 1 + Rng.int rng 4 in
       let order = Dmc_core.Strategy.default_order g in
-      let r = Dmc_sim.Sim_game.of_execution g ~order ~s in
-      match Dmc_core.Rbw_game.run g ~s r.Dmc_sim.Sim_game.moves with
-      | Ok stats -> stats.Dmc_core.Rbw_game.io = r.Dmc_sim.Sim_game.io
+      let r = Sim_game.of_execution g ~order ~s in
+      match Dmc_core.Rbw_game.run g ~s r.Sim_game.moves with
+      | Ok stats -> stats.Dmc_core.Rbw_game.io = r.Sim_game.io
       | Error _ -> false)
 
 (* the simulator is a valid pebble-game player: its L1 traffic

@@ -83,7 +83,7 @@ let test_registry_pipeline () =
     | Some e -> e
     | None -> Alcotest.fail "tradeoff experiment not registered"
   in
-  let names = Experiment.part_names e in
+  let names = List.map (fun (p : Experiment.part) -> p.part) e.parts in
   check_int "part names unique"
     (List.length names)
     (List.length (List.sort_uniq compare names));

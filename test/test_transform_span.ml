@@ -1,9 +1,8 @@
-(* Tests for the CDAG transformations (transpose duality, disjoint
-   union, series composition) and for Savage's S-span engine. *)
+(* Tests of the exhaustive optimum under graph transformations
+   (transposition, disjoint union) and of Savage's S-span engine. *)
 
 module Cdag = Dmc_cdag.Cdag
-module Transform = Dmc_cdag.Transform
-module Serialize = Dmc_cdag.Serialize
+module Gen_cdag = Dmc_testlib.Gen_cdag
 module Span = Dmc_core.Span
 module Optimal = Dmc_core.Optimal
 module Rng = Dmc_util.Rng
@@ -14,30 +13,29 @@ let check_bool = Alcotest.(check bool)
 (* ------------------------------------------------------------------ *)
 (* Transpose                                                           *)
 
-let test_transpose_structure () =
-  let g = Dmc_gen.Shapes.reduction_tree 4 in
-  let t = Transform.transpose g in
-  check "same vertices" (Cdag.n_vertices g) (Cdag.n_vertices t);
-  check "same edges" (Cdag.n_edges g) (Cdag.n_edges t);
-  check "inputs become outputs" (Cdag.n_inputs g) (Cdag.n_outputs t);
-  check "outputs become inputs" (Cdag.n_outputs g) (Cdag.n_inputs t);
-  check_bool "edges reversed" true (Cdag.has_edge t 6 5);
-  check_bool "involution" true
-    (Serialize.equal_structure g (Transform.transpose t))
-
 (* The folklore "reverse the game" duality argument is unsound: the
    reverse of a delete is a pebble placement with no justification.
    This 8-vertex DAG (found by random search) pins the asymmetry:
    io(G) = 5 but io(G^T) = 6 at S = 4. *)
 let test_transpose_duality_fails () =
-  let b = Cdag.Builder.create () in
-  let v = Array.init 8 (fun _ -> Cdag.Builder.add_vertex b) in
-  List.iter
-    (fun (x, y) -> Cdag.Builder.add_edge b v.(x) v.(y))
-    [ (0, 2); (0, 3); (1, 3); (1, 4); (2, 5); (2, 6); (3, 5); (3, 6); (3, 7);
-      (4, 6); (4, 7) ];
-  let g = Cdag.Builder.freeze b in
-  let t = Transform.transpose g in
+  let build edges =
+    let b = Cdag.Builder.create () in
+    let v = Array.init 8 (fun _ -> Cdag.Builder.add_vertex b) in
+    List.iter (fun (x, y) -> Cdag.Builder.add_edge b v.(x) v.(y)) edges;
+    Cdag.Builder.freeze b
+  in
+  let g =
+    build
+      [ (0, 2); (0, 3); (1, 3); (1, 4); (2, 5); (2, 6); (3, 5); (3, 6); (3, 7);
+        (4, 6); (4, 7) ]
+  in
+  (* every edge reversed; the default tagging makes G's sinks the
+     inputs and G's sources the outputs, as transposition does *)
+  let t =
+    build
+      [ (2, 0); (3, 0); (3, 1); (4, 1); (5, 2); (6, 2); (5, 3); (6, 3); (7, 3);
+        (6, 4); (7, 4) ]
+  in
   check "io(G)" 5 (Optimal.rb_io g ~s:4);
   check "io(G^T)" 6 (Optimal.rb_io t ~s:4)
 
@@ -53,7 +51,7 @@ let prop_transpose_optima_close =
       let g = Dmc_gen.Random_dag.layered rng ~layers:3 ~width:3 ~edge_prob:0.55 in
       if Cdag.n_vertices g > 11 || not (Dmc_cdag.Validate.is_hong_kung g) then true
       else begin
-        let t = Transform.transpose g in
+        let t = Gen_cdag.transpose g in
         let max_indeg h =
           Cdag.fold_vertices h (fun acc v -> max acc (Cdag.in_degree h v)) 0
         in
@@ -73,18 +71,6 @@ let prop_transpose_optima_close =
 (* ------------------------------------------------------------------ *)
 (* Disjoint union                                                      *)
 
-let test_union_structure () =
-  let a = Dmc_gen.Shapes.chain 3 and b = Dmc_gen.Shapes.reduction_tree 4 in
-  let u = Transform.disjoint_union a b in
-  check "vertex sum" (3 + 7) (Cdag.n_vertices u.Transform.graph);
-  check "edge sum" (2 + 6) (Cdag.n_edges u.Transform.graph);
-  check "input union" (1 + 4) (Cdag.n_inputs u.Transform.graph);
-  check "left mapping" 0 (u.Transform.left 0);
-  check "right mapping" 3 (u.Transform.right 0);
-  Alcotest.check_raises "right out of range"
-    (Invalid_argument "Transform.disjoint_union: right vertex") (fun () ->
-      ignore (u.Transform.right 7))
-
 let prop_union_optimal_additive =
   QCheck.Test.make ~name:"optimal I/O is additive over disjoint unions" ~count:10
     QCheck.(int_bound 100_000)
@@ -92,36 +78,12 @@ let prop_union_optimal_additive =
       let rng = Rng.create seed in
       let a = Dmc_gen.Random_dag.gnp rng ~n:5 ~edge_prob:0.35 in
       let b = Dmc_gen.Random_dag.gnp rng ~n:5 ~edge_prob:0.35 in
-      let u = (Transform.disjoint_union a b).Transform.graph in
+      let u = Gen_cdag.disjoint_union a b in
       let max_indeg h =
         Cdag.fold_vertices h (fun acc v -> max acc (Cdag.in_degree h v)) 0
       in
       let s = max_indeg u + 1 in
       Optimal.rbw_io u ~s = Optimal.rbw_io a ~s + Optimal.rbw_io b ~s)
-
-(* ------------------------------------------------------------------ *)
-(* Series composition                                                  *)
-
-let test_series_pipeline () =
-  (* chain3 ; chain3 wired output->input = a chain of 6 *)
-  let a = Dmc_gen.Shapes.chain 3 and b = Dmc_gen.Shapes.chain 3 in
-  let g = Transform.series a b ~wire:[ (2, 0) ] in
-  check "vertices" 6 (Cdag.n_vertices g);
-  check "edges" 5 (Cdag.n_edges g);
-  (* the wired input is no longer a tagged input *)
-  check "single remaining input" 1 (Cdag.n_inputs g);
-  (* the whole pipeline still costs one load + stores of both outputs *)
-  let opt = Optimal.rbw_io g ~s:2 in
-  check "pipeline optimal" 3 opt
-
-let test_series_rejects_bad_wire () =
-  let a = Dmc_gen.Shapes.chain 3 and b = Dmc_gen.Shapes.chain 3 in
-  Alcotest.check_raises "not an output"
-    (Invalid_argument "Transform.series: wire source is not an output of the first CDAG")
-    (fun () -> ignore (Transform.series a b ~wire:[ (1, 0) ]));
-  Alcotest.check_raises "not an input"
-    (Invalid_argument "Transform.series: wire target is not an input of the second CDAG")
-    (fun () -> ignore (Transform.series a b ~wire:[ (2, 1) ]))
 
 (* ------------------------------------------------------------------ *)
 (* S-span                                                              *)
@@ -200,18 +162,9 @@ let () =
   Alcotest.run "dmc_transform_span"
     [
       ( "transpose",
-        [
-          Alcotest.test_case "structure" `Quick test_transpose_structure;
-          Alcotest.test_case "duality counterexample" `Quick test_transpose_duality_fails;
-        ] );
+        [ Alcotest.test_case "duality counterexample" `Quick test_transpose_duality_fails ] );
       qsuite "transpose-props" [ prop_transpose_optima_close ];
-      ( "union", [ Alcotest.test_case "structure" `Quick test_union_structure ] );
       qsuite "union-props" [ prop_union_optimal_additive ];
-      ( "series",
-        [
-          Alcotest.test_case "pipeline" `Quick test_series_pipeline;
-          Alcotest.test_case "rejects bad wires" `Quick test_series_rejects_bad_wire;
-        ] );
       ( "span",
         [
           Alcotest.test_case "chain" `Quick test_span_chain;

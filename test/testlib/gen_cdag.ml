@@ -56,3 +56,19 @@ let shrink spec yield =
 
 let arbitrary ?(max_n = 10) ?(edge_prob = 0.3) () =
   QCheck.make ~print ~shrink (gen ~max_n ~edge_prob)
+
+let rebuild n ~edges ~inputs ~outputs =
+  let b = Cdag.Builder.create ~hint:n () in
+  for _ = 1 to n do ignore (Cdag.Builder.add_vertex b) done;
+  edges (Cdag.Builder.add_edge b);
+  Cdag.Builder.freeze ~inputs ~outputs b
+
+let transpose g =
+  rebuild (Cdag.n_vertices g) ~edges:(fun add -> Cdag.iter_edges g (fun u v -> add v u))
+    ~inputs:(Cdag.outputs g) ~outputs:(Cdag.inputs g)
+
+let disjoint_union a c =
+  let na = Cdag.n_vertices a and shift = List.map (( + ) (Cdag.n_vertices a)) in
+  rebuild (na + Cdag.n_vertices c)
+    ~edges:(fun add -> Cdag.iter_edges a add; Cdag.iter_edges c (fun u v -> add (u + na) (v + na)))
+    ~inputs:(Cdag.inputs a @ shift (Cdag.inputs c)) ~outputs:(Cdag.outputs a @ shift (Cdag.outputs c))

@@ -21,3 +21,10 @@ val arbitrary : ?max_n:int -> ?edge_prob:float -> unit -> spec QCheck.arbitrary
     by removing edges one at a time, then trimming the last vertex. *)
 
 val max_indegree : spec -> int
+
+val transpose : Cdag.t -> Cdag.t
+(** Every edge reversed; inputs and outputs trade tags. *)
+
+val disjoint_union : Cdag.t -> Cdag.t -> Cdag.t
+(** Side by side; the second graph's vertices are shifted past the
+    first's and keep their tags. *)
